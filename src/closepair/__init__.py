@@ -1,7 +1,7 @@
 """Instrumented closest-pair solvers with exact distance-computation counting."""
 
 from .cost_model import CostBreakdown, analytic_local_cost, analytic_strip_cost, analytic_total_cost
-from .errors import EmptySweep, InsufficientPoints, InvalidPartition
+from .errors import ClosepairError, EmptySweep, InsufficientPoints, InvalidPartition
 from .experiments import (
     SweepRecord,
     TrialHistogram,
@@ -15,9 +15,7 @@ from .experiments import (
 )
 from .geometry import ClosestPairResult, OpCounter, Point, PointSet, final_distance, squared_distance
 from .solvers import (
-    DividingLine,
     MergeState,
-    Partition,
     balanced_partition,
     brute_force,
     closest_pair_2way,
@@ -26,15 +24,14 @@ from .solvers import (
 )
 
 __all__ = [
+    "ClosepairError",
     "ClosestPairResult",
     "CostBreakdown",
-    "DividingLine",
     "EmptySweep",
     "InsufficientPoints",
     "InvalidPartition",
     "MergeState",
     "OpCounter",
-    "Partition",
     "Point",
     "PointSet",
     "SweepRecord",

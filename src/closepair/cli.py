@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .cost_model import analytic_total_cost
-from .errors import EmptySweep, InsufficientPoints, InvalidPartition
+from .errors import ClosepairError, InvalidPartition
 from .experiments import gen_uniform_points, run_sweep, run_trials
 from .geometry import OpCounter, Point, PointSet, final_distance
 from .solvers import brute_force, closest_pair_2way, closest_pair_kway
@@ -72,8 +72,9 @@ def _cmd_solve(args) -> int:
     elif args.algo == "two":
         result = closest_pair_2way(points, counter)
     else:
-        if args.a > points.n:
-            print(f"note: a={args.a} exceeds n={points.n}, clamped to {points.n}", file=sys.stderr)
+        n = len(points)
+        if args.a > n:
+            print(f"note: a={args.a} exceeds n={n}, clamped to {n}", file=sys.stderr)
         result = closest_pair_kway(points, args.a, counter)
     distance = format_number(final_distance(result.dist_sq))
     sys.stdout.write(f"{result.i} {result.j} {distance} {result.dc_used}\n")
@@ -171,7 +172,7 @@ def main(argv=None) -> int:
     except PointFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except (InsufficientPoints, InvalidPartition, EmptySweep, ValueError) as exc:
+    except ClosepairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

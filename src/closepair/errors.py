@@ -1,13 +1,17 @@
 """Errors shared across the solver, cost-model, and experiment layers."""
 
 
-class InsufficientPoints(ValueError):
+class ClosepairError(ValueError):
+    """Base of the package's own argument and precondition errors."""
+
+
+class InsufficientPoints(ClosepairError):
     """A solver was given fewer than two points."""
 
 
-class InvalidPartition(ValueError):
+class InvalidPartition(ClosepairError):
     """A partition parameter or range lies outside its allowed bounds."""
 
 
-class EmptySweep(ValueError):
+class EmptySweep(ClosepairError):
     """An argmin was requested over an empty list of sweep records."""

@@ -10,7 +10,7 @@ tallies which parameter won.
 import concurrent.futures
 from dataclasses import dataclass
 
-from .errors import EmptySweep, InsufficientPoints, InvalidPartition
+from .errors import ClosepairError, EmptySweep, InsufficientPoints, InvalidPartition
 from .geometry import OpCounter, Point, PointSet, final_distance
 from .solvers import closest_pair_2way, closest_pair_kway
 
@@ -41,7 +41,7 @@ def gen_uniform_points(n: int, seed: int) -> PointSet:
     coordinates are exactly representable and reproducible bit for bit.
     """
     if n < 0:
-        raise ValueError(f"point count must be >= 0, got {n}")
+        raise ClosepairError(f"point count must be >= 0, got {n}")
     stream = splitmix64_stream(seed)
     scale = 2.0 ** -53
     pts = []
@@ -109,20 +109,21 @@ def run_trials(n: int, trials: int, base_seed: int, jobs: int = 1) -> TrialHisto
     if n < 2:
         raise InsufficientPoints(f"need at least 2 points, got {n}")
     if trials < 1:
-        raise ValueError(f"trial count must be >= 1, got {trials}")
+        raise ClosepairError(f"trial count must be >= 1, got {trials}")
     if jobs < 1:
-        raise ValueError(f"job count must be >= 1, got {jobs}")
-    wins = {a: 0 for a in range(2, n + 1)}
-    if jobs == 1:
-        _tally_trials(n, base_seed, 0, trials, wins)
-        return TrialHistogram(n, trials, wins)
+        raise ClosepairError(f"job count must be >= 1, got {jobs}")
     jobs = min(jobs, trials)
     bounds = [trials * k // jobs for k in range(jobs + 1)]
     chunks = [(n, base_seed, bounds[k], bounds[k + 1]) for k in range(jobs)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for partial in pool.map(_trial_chunk, chunks):
-            for a, count in partial.items():
-                wins[a] += count
+    if jobs == 1:
+        partials = [_trial_chunk(chunks[0])]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            partials = list(pool.map(_trial_chunk, chunks))
+    wins = {a: 0 for a in range(2, n + 1)}
+    for partial in partials:
+        for a, count in partial.items():
+            wins[a] += count
     return TrialHistogram(n, trials, wins)
 
 
@@ -136,13 +137,8 @@ def growth_check(sizes, seed: int) -> list:
     return out
 
 
-def _tally_trials(n, base_seed, t_lo, t_hi, wins):
-    for t in range(t_lo, t_hi):
-        seed_t = splitmix64_mix(base_seed + t)
-        wins[argmin_partition(run_sweep(n, seed_t, 2, n))] += 1
-
-
 def _trial_chunk(args):
+    """Argmin win counts for trials [t_lo, t_hi); absent keys mean zero wins."""
     n, base_seed, t_lo, t_hi = args
     wins = {}
     for t in range(t_lo, t_hi):

@@ -39,10 +39,6 @@ class PointSet:
         """Build a set from an iterable of (x, y) pairs."""
         return cls(Point(float(x), float(y)) for x, y in coords)
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
     def __len__(self) -> int:
         return len(self.points)
 

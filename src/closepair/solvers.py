@@ -1,35 +1,16 @@
-"""Closest-pair solvers: brute force, 2-way divide and conquer, k-way partition.
+"""Closest-pair solvers: brute force and k-way partition divide and conquer.
 
-All three return the same squared distance bit-for-bit on the same input;
+The classic 2-way solver is the k-way solver with two regions per split.
+Every solver returns the same squared distance bit-for-bit on the same input;
 they differ only in which pairs they evaluate and therefore in their
 distance-computation counts.  The brute-force solver doubles as the oracle
-the other two are tested against.
+the others are tested against.
 """
 
 from dataclasses import dataclass
 
 from .errors import InsufficientPoints, InvalidPartition
 from .geometry import ClosestPairResult, OpCounter, PointSet, squared_distance
-
-
-@dataclass(frozen=True, slots=True)
-class DividingLine:
-    """Vertical line separating two adjacent regions of an x-sorted set."""
-
-    x_line: float
-
-
-@dataclass(frozen=True, slots=True)
-class Partition:
-    """Contiguous, balanced index regions of an x-sorted set plus the lines between them.
-
-    region_bounds are half-open (start, stop) index ranges; sizes differ by
-    at most one, extras going to the leftmost regions.
-    """
-
-    region_bounds: tuple
-    lines: tuple
-    a: int
 
 
 @dataclass(slots=True)
@@ -39,10 +20,6 @@ class MergeState:
     i: int = -1
     j: int = -1
     dist_sq: float | None = None
-
-    @property
-    def empty(self) -> bool:
-        return self.dist_sq is None
 
     def offer(self, d: float, i: int, j: int) -> None:
         """Fold in one evaluated pair; strictly closer pairs win, first found keeps ties."""
@@ -56,7 +33,7 @@ class MergeState:
 
 def brute_force(point_set: PointSet, counter: OpCounter) -> ClosestPairResult:
     """Evaluate all C(n,2) pairs in input order; exactly n(n-1)/2 DCs."""
-    n = point_set.n
+    n = len(point_set)
     if n < 2:
         raise InsufficientPoints(f"need at least 2 points, got {n}")
     start = counter.dc
@@ -80,6 +57,7 @@ def strip_scan(strip, state: MergeState, counter: OpCounter) -> MergeState:
     window for the rest of the scan.
     """
     spans = counter.scan_spans
+    best = state.dist_sq
     m = len(strip)
     for i in range(m):
         pi, oi = strip[i]
@@ -87,151 +65,126 @@ def strip_scan(strip, state: MergeState, counter: OpCounter) -> MergeState:
         span = 0
         for j in range(i + 1, m):
             pj, oj = strip[j]
-            if state.dist_sq is not None:
+            if best is not None:
                 dy = pj.y - yi
-                if dy * dy >= state.dist_sq:
+                if dy * dy >= best:
                     break
             span += 1
-            state.offer(squared_distance(pi, pj, counter), oi, oj)
+            d = squared_distance(pi, pj, counter)
+            if best is None or d < best:
+                state.offer(d, oi, oj)
+                best = d
         if spans is not None:
             spans.append(span)
     return state
 
 
 def closest_pair_2way(point_set: PointSet, counter: OpCounter) -> ClosestPairResult:
-    """Classic divide and conquer: split in half, recurse, scan the middle strip."""
-    n = point_set.n
-    if n < 2:
-        raise InsufficientPoints(f"need at least 2 points, got {n}")
-    start = counter.dc
-    spts, order, xs, ys = _presort(point_set)
-    state = _solve_2way(spts, order, xs, ys, 0, n, counter)
-    return ClosestPairResult(state.i, state.j, state.dist_sq, counter.dc - start)
+    """Classic divide and conquer: split in half, recurse, scan the middle strip; k-way at a = 2."""
+    return closest_pair_kway(point_set, 2, counter)
 
 
 def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> ClosestPairResult:
     """Divide and conquer with branching factor ``a``.
 
-    Splits into min(a, n) balanced regions, recurses into regions of four or
+    Splits into min(a, n) balanced regions, recurses into regions of two or
     more points with the same ``a``, then sweeps the dividing lines left to
     right sharing one running minimum.  An empty minimum at a line is seeded
     with a single distance across that line, so a = n (all regions singletons,
     zero local work) still enters its strips with a finite window.  Values of
     ``a`` above n are clamped to n.
     """
-    n = point_set.n
+    n = len(point_set)
     if n < 2:
         raise InsufficientPoints(f"need at least 2 points, got {n}")
     if a < 2:
         raise InvalidPartition(f"partition parameter must be >= 2, got {a}")
     start = counter.dc
-    spts, order, xs, ys = _presort(point_set)
-    state = _solve_kway(spts, order, xs, ys, 0, n, a, counter)
+    state = _solve(*_presort(point_set), 0, n, a, counter)
     return ClosestPairResult(state.i, state.j, state.dist_sq, counter.dc - start)
 
 
-def balanced_partition(xs, lo: int, hi: int, regions: int) -> Partition:
-    """Split [lo, hi) into ``regions`` contiguous runs whose sizes differ by at most one."""
+def balanced_partition(lo: int, hi: int, regions: int) -> list:
+    """Stop indices of ``regions`` contiguous runs covering [lo, hi).
+
+    Run sizes differ by at most one, the extras going to the leftmost runs.
+    """
     m = hi - lo
     if not 2 <= regions <= m:
         raise InvalidPartition(f"cannot split {m} points into {regions} regions")
     q, r = divmod(m, regions)
-    bounds = []
-    lines = []
-    pos = lo
-    for k in range(regions):
-        end = pos + q + (1 if k < r else 0)
-        bounds.append((pos, end))
-        pos = end
-    for _, stop in bounds[:-1]:
-        xl = xs[stop - 1]
-        xr = xs[stop]
-        lines.append(DividingLine(xl if xl == xr else (xl + xr) / 2.0))
-    return Partition(tuple(bounds), tuple(lines), regions)
+    # r runs of q + 1 points, then regions - r runs of q points
+    mid = lo + r * (q + 1)
+    return [*range(lo + q + 1, mid + 1, q + 1), *range(mid + q, hi + 1, q)]
+
+
+def dividing_x(xs, stop: int) -> float:
+    """x of the line left of sorted position ``stop``: its neighbours' midpoint or shared x."""
+    xl = xs[stop - 1]
+    xr = xs[stop]
+    return xl if xl == xr else (xl + xr) / 2.0
 
 
 def _presort(point_set):
-    # x ascending, ties by y then original index: guarantees a deterministic
-    # equal-size split even when x values repeat.
+    # Two stable sorts, by y and then by x, put the points in (x, y, index)
+    # order, so the equal-size split is deterministic even when x values
+    # repeat.  The strip order is (y, index): ``ypts`` and ``yidx`` hold the
+    # points and their indices in that order, and ``rank`` maps each x-sorted
+    # position to its place in it.
     pts = point_set.points
-    order = sorted(range(len(pts)), key=lambda k: (pts[k].x, pts[k].y, k))
-    spts = [pts[k] for k in order]
+    yidx = sorted(range(len(pts)), key=[p.y for p in pts].__getitem__)
+    ypts = [pts[k] for k in yidx]
+    rank = sorted(range(len(pts)), key=[p.x for p in ypts].__getitem__)
+    spts = [ypts[r] for r in rank]
+    order = [yidx[r] for r in rank]
     xs = [p.x for p in spts]
-    ys = [p.y for p in spts]
-    return spts, order, xs, ys
+    return spts, order, xs, rank, ypts, yidx
 
 
-def _scan_range_pairs(spts, order, lo, hi, counter):
-    """Brute force over a sorted index range; pairs in ascending (i, j) order."""
-    state = MergeState()
-    for i in range(lo, hi - 1):
-        pi = spts[i]
-        oi = order[i]
-        for j in range(i + 1, hi):
-            state.offer(squared_distance(pi, spts[j], counter), oi, order[j])
-    return state
-
-
-def _strip_positions(xs, lo, hi, boundary, x_line, window):
-    # In-window points are contiguous in x order: grow outward from the boundary.
-    first = boundary
-    while first > lo:
-        dx = xs[first - 1] - x_line
-        if dx * dx < window:
-            first -= 1
-        else:
-            break
-    last = boundary
-    while last < hi:
-        dx = xs[last] - x_line
-        if dx * dx < window:
-            last += 1
-        else:
-            break
-    return range(first, last)
-
-
-def _sorted_strip(spts, order, ys, positions):
-    ks = sorted(positions, key=lambda k: (ys[k], order[k]))
-    return [(spts[k], order[k]) for k in ks]
-
-
-def _solve_2way(spts, order, xs, ys, lo, hi, counter):
+def _solve(spts, order, xs, rank, ypts, yidx, lo, hi, a, counter):
     m = hi - lo
     if m <= 3:
-        return _scan_range_pairs(spts, order, lo, hi, counter)
-    mid = lo + (m + 1) // 2
-    left = _solve_2way(spts, order, xs, ys, lo, mid, counter)
-    right = _solve_2way(spts, order, xs, ys, mid, hi, counter)
-    state = left
-    state.offer(right.dist_sq, right.i, right.j)
-    xl = xs[mid - 1]
-    xr = xs[mid]
-    x_line = xl if xl == xr else (xl + xr) / 2.0
-    positions = _strip_positions(xs, lo, hi, mid, x_line, state.dist_sq)
-    strip_scan(_sorted_strip(spts, order, ys, positions), state, counter)
-    return state
-
-
-def _solve_kway(spts, order, xs, ys, lo, hi, a, counter):
-    m = hi - lo
-    if m <= 3:
-        return _scan_range_pairs(spts, order, lo, hi, counter)
-    part = balanced_partition(xs, lo, hi, min(a, m))
-    state = MergeState()
-    for rlo, rhi in part.region_bounds:
-        size = rhi - rlo
-        if size >= 4:
-            sub = _solve_kway(spts, order, xs, ys, rlo, rhi, a, counter)
-            state.offer(sub.dist_sq, sub.i, sub.j)
-        elif size >= 2:
-            sub = _scan_range_pairs(spts, order, rlo, rhi, counter)
-            state.offer(sub.dist_sq, sub.i, sub.j)
-    for t, line in enumerate(part.lines):
-        boundary = part.region_bounds[t][1]
+        state = MergeState()
+        for i in range(lo, hi - 1):
+            for j in range(i + 1, hi):
+                state.offer(squared_distance(spts[i], spts[j], counter), order[i], order[j])
+        return state
+    stops = balanced_partition(lo, hi, min(a, m))
+    # The first solved region's state is the running minimum as it stands:
+    # offering it into a fresh state would only copy it.
+    state = None
+    start = lo
+    for stop in stops:
+        if stop - start >= 2:
+            sub = _solve(spts, order, xs, rank, ypts, yidx, start, stop, a, counter)
+            if state is None:
+                state = sub
+            else:
+                state.offer(sub.dist_sq, sub.i, sub.j)
+        start = stop
+    if state is None:
+        state = MergeState()
+    for boundary in stops[:-1]:
         if state.dist_sq is None:
             d = squared_distance(spts[boundary - 1], spts[boundary], counter)
             state.offer(d, order[boundary - 1], order[boundary])
-        positions = _strip_positions(xs, lo, hi, boundary, line.x_line, state.dist_sq)
-        strip_scan(_sorted_strip(spts, order, ys, positions), state, counter)
+        x_line = dividing_x(xs, boundary)
+        window = state.dist_sq
+        # In-window points are contiguous in x order: grow outward from the boundary.
+        first = boundary
+        while first > lo:
+            dx = xs[first - 1] - x_line
+            if dx * dx < window:
+                first -= 1
+            else:
+                break
+        last = boundary
+        while last < hi:
+            dx = xs[last] - x_line
+            if dx * dx < window:
+                last += 1
+            else:
+                break
+        strip = [(ypts[r], yidx[r]) for r in sorted(rank[first:last])]
+        strip_scan(strip, state, counter)
     return state

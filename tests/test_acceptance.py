@@ -146,8 +146,8 @@ def test_criterion_7a_strip_scan_span_bound():
     configs = {
         "2way": lambda ps, c: closest_pair_2way(ps, c),
         "kway a=2": lambda ps, c: closest_pair_kway(ps, 2, c),
-        "kway a=n/2": lambda ps, c: closest_pair_kway(ps, max(2, ps.n // 2), c),
-        "kway a=n": lambda ps, c: closest_pair_kway(ps, ps.n, c),
+        "kway a=n/2": lambda ps, c: closest_pair_kway(ps, max(2, len(ps) // 2), c),
+        "kway a=n": lambda ps, c: closest_pair_kway(ps, len(ps), c),
     }
     worst = {name: 0 for name in configs}
     for _ in range(200):

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from closepair import solvers
 from closepair.cli import format_number, main, parse_points_text, PointFileError
 from closepair.experiments import gen_uniform_points
 from closepair.geometry import Point
@@ -46,7 +47,7 @@ class TestFormatNumber:
 class TestParsePoints:
     def test_comments_and_blanks(self):
         ps = parse_points_text("# header\n\n 0 0 \n# mid\n3 4\n")
-        assert ps.n == 2 and ps[1] == Point(3.0, 4.0)
+        assert len(ps) == 2 and ps[1] == Point(3.0, 4.0)
 
     def test_error_names_line(self):
         with pytest.raises(PointFileError, match="line 3"):
@@ -243,6 +244,24 @@ class TestUsageErrors:
     def test_missing_required_flag_exits_3(self, capsys):
         code, _, _ = run_cli(["sweep", "--n", "10"], capsys)
         assert code == 3
+
+
+class TestErrorMapping:
+    def test_negative_gen_count_exits_3(self, capsys):
+        code, out, err = run_cli(["gen", "--n", "-1", "--seed", "1"], capsys)
+        assert code == 3
+        assert out == "" and "point count" in err
+
+    def test_unexpected_value_error_propagates(self, tmp_path, monkeypatch, capsys):
+        # an internal bug inside a solver is not a usage error: no exit code 3
+        def broken(p, q, counter):
+            raise ValueError("internal failure")
+
+        f = tmp_path / "pts.txt"
+        f.write_text("0 0\n1 1\n2 2\n3 3\n")
+        monkeypatch.setattr(solvers, "squared_distance", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["solve", "--input", str(f), "--algo", "two"])
 
 
 class TestEndToEndProcess:

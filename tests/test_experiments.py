@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closepair.errors import EmptySweep, InsufficientPoints, InvalidPartition
+from closepair.errors import ClosepairError, EmptySweep, InsufficientPoints, InvalidPartition
 from closepair.experiments import (
     SweepRecord,
     argmin_partition,
@@ -41,7 +41,7 @@ class TestSplitmix64:
 
 class TestGenUniformPoints:
     def test_empty(self):
-        assert gen_uniform_points(0, 12345).n == 0
+        assert len(gen_uniform_points(0, 12345)) == 0
 
     def test_deterministic(self):
         a = gen_uniform_points(64, 99)
@@ -64,7 +64,7 @@ class TestGenUniformPoints:
         assert gen_uniform_points(8, 1) != gen_uniform_points(8, 2)
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ClosepairError):
             gen_uniform_points(-1, 0)
 
 
@@ -148,7 +148,7 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("n,trials,jobs", [(1, 5, 1), (5, 0, 1), (5, 5, 0)])
     def test_argument_errors(self, n, trials, jobs):
-        with pytest.raises((InsufficientPoints, ValueError)):
+        with pytest.raises(ClosepairError):
             run_trials(n, trials, 0, jobs=jobs)
 
 

@@ -74,12 +74,12 @@ class TestPoint:
 class TestPointSet:
     def test_length_matches(self):
         ps = PointSet([Point(0, 0), Point(1, 2), Point(0, 0)])
-        assert ps.n == len(ps) == 3
+        assert len(ps) == len(ps.points) == 3
         assert ps[1] == Point(1, 2)
 
     def test_duplicates_allowed(self):
         ps = PointSet([Point(5, 5), Point(5, 5)])
-        assert ps.n == 2
+        assert len(ps) == 2
 
     def test_from_coords(self):
         ps = PointSet.from_coords([(0, 1), (2, 3)])
@@ -90,7 +90,7 @@ class TestPointSet:
             PointSet([(0.0, 1.0)])
 
     def test_empty_ok(self):
-        assert PointSet([]).n == 0
+        assert len(PointSet([])) == 0
 
     def test_equality(self):
         assert PointSet.from_coords([(1, 2)]) == PointSet.from_coords([(1, 2)])

@@ -13,6 +13,7 @@ from closepair.solvers import (
     brute_force,
     closest_pair_2way,
     closest_pair_kway,
+    dividing_x,
     strip_scan,
 )
 
@@ -24,7 +25,7 @@ point_lists = st.lists(coord_pairs, min_size=2, max_size=24)
 class TestMergeState:
     def test_starts_empty(self):
         s = MergeState()
-        assert s.empty
+        assert s.dist_sq is None
 
     def test_offer_normalizes_and_keeps_first_on_tie(self):
         s = MergeState()
@@ -102,12 +103,12 @@ class TestStripScan:
     def test_empty_strip_is_noop(self):
         state = MergeState()
         assert strip_scan([], state, OpCounter()) is state
-        assert state.empty
+        assert state.dist_sq is None
 
     def test_single_point_strip_is_noop(self):
         c = OpCounter()
         state = strip_scan([_entry(point_set([(1, 1)]), 0)], MergeState(), c)
-        assert state.empty and c.dc == 0
+        assert state.dist_sq is None and c.dc == 0
 
     def test_records_spans_when_enabled(self):
         ps = point_set([(0, 0), (0.1, 0.1), (0, 9)])
@@ -137,7 +138,7 @@ class TestTwoWay:
         ps = gen_uniform_points(300, 5)
         r = closest_pair_2way(ps, OpCounter())
         assert squared_distance(ps[r.i], ps[r.j], OpCounter()) == r.dist_sq
-        assert 0 <= r.i < r.j < ps.n
+        assert 0 <= r.i < r.j < len(ps)
 
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPoints):
@@ -218,7 +219,7 @@ class TestKWay:
         for a in (2, 7, 60, 120):
             r = closest_pair_kway(ps, a, OpCounter())
             assert squared_distance(ps[r.i], ps[r.j], OpCounter()) == r.dist_sq
-            assert 0 <= r.i < r.j < ps.n
+            assert 0 <= r.i < r.j < len(ps)
 
     @given(point_lists, st.integers(min_value=2, max_value=30))
     @settings(max_examples=200)
@@ -238,7 +239,7 @@ class TestCrossSolverProperties:
         sps = point_set(shuffled)
         assert brute_force(sps, OpCounter()).dist_sq == expected
         assert closest_pair_2way(sps, OpCounter()).dist_sq == expected
-        assert closest_pair_kway(sps, min(3, sps.n), OpCounter()).dist_sq == expected
+        assert closest_pair_kway(sps, min(3, len(sps)), OpCounter()).dist_sq == expected
 
     @given(st.lists(dyadic_pairs, min_size=2, max_size=20), st.integers(min_value=-8, max_value=8))
     @settings(max_examples=200)
@@ -249,7 +250,7 @@ class TestCrossSolverProperties:
         for solve in (
             lambda q, c: brute_force(q, c),
             lambda q, c: closest_pair_2way(q, c),
-            lambda q, c: closest_pair_kway(q, min(4, q.n), c),
+            lambda q, c: closest_pair_kway(q, min(4, len(q)), c),
         ):
             c0, c1 = OpCounter(), OpCounter()
             r0 = solve(ps, c0)
@@ -277,33 +278,33 @@ class TestCrossSolverProperties:
 class TestBalancedPartition:
     @given(st.integers(min_value=2, max_value=200), st.integers(min_value=2, max_value=200))
     def test_invariants(self, m, a):
-        xs = list(range(m))
         regions = min(a, m)
-        part = balanced_partition(xs, 0, m, regions)
-        assert part.a == regions
-        assert len(part.lines) == len(part.region_bounds) - 1
+        stops = balanced_partition(0, m, regions)
+        assert len(stops) == regions
         # contiguous, disjoint, covering
-        assert part.region_bounds[0][0] == 0
-        assert part.region_bounds[-1][1] == m
-        for (_, stop), (start, _) in zip(part.region_bounds, part.region_bounds[1:]):
-            assert stop == start
-        sizes = {stop - start for start, stop in part.region_bounds}
+        assert stops[-1] == m
+        sizes = [stop - start for start, stop in zip([0] + stops, stops)]
+        assert min(sizes) >= 1
         assert max(sizes) - min(sizes) <= 1
+        # extras go to the leftmost regions
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_offset_range(self):
+        assert balanced_partition(10, 17, 3) == [13, 15, 17]
 
     def test_line_between_boundary_points(self):
-        part = balanced_partition([0.0, 1.0, 5.0, 6.0], 0, 4, 2)
-        assert part.region_bounds == ((0, 2), (2, 4))
-        assert part.lines[0].x_line == 3.0
+        xs = [0.0, 1.0, 5.0, 6.0]
+        assert balanced_partition(0, 4, 2) == [2, 4]
+        assert dividing_x(xs, 2) == 3.0
 
     def test_line_on_shared_x(self):
-        part = balanced_partition([1.0, 2.0, 2.0, 9.0], 0, 4, 2)
-        assert part.lines[0].x_line == 2.0
+        assert dividing_x([1.0, 2.0, 2.0, 9.0], 2) == 2.0
 
     def test_rejects_bad_region_counts(self):
         with pytest.raises(InvalidPartition):
-            balanced_partition([0.0, 1.0], 0, 2, 3)
+            balanced_partition(0, 2, 3)
         with pytest.raises(InvalidPartition):
-            balanced_partition([0.0, 1.0], 0, 2, 1)
+            balanced_partition(0, 2, 1)
 
 
 class TestRandomizedStress:
