@@ -1,7 +1,7 @@
 """Instrumented closest-pair solvers with exact distance-computation counting."""
 
 from .cost_model import CostBreakdown, analytic_local_cost, analytic_strip_cost, analytic_total_cost
-from .errors import ClosepairError, EmptySweep, InsufficientPoints, InvalidPartition
+from .errors import ClosepairError, DistanceOverflow, EmptySweep, InsufficientPoints, InvalidPartition
 from .experiments import (
     SweepRecord,
     TrialHistogram,
@@ -27,6 +27,7 @@ __all__ = [
     "ClosepairError",
     "ClosestPairResult",
     "CostBreakdown",
+    "DistanceOverflow",
     "EmptySweep",
     "InsufficientPoints",
     "InvalidPartition",

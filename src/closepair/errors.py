@@ -15,3 +15,7 @@ class InvalidPartition(ClosepairError):
 
 class EmptySweep(ClosepairError):
     """An argmin was requested over an empty list of sweep records."""
+
+
+class DistanceOverflow(ClosepairError):
+    """The closest squared distance overflowed to infinity, so every pair ties."""

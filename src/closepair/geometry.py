@@ -24,9 +24,14 @@ class Point:
 
 
 class PointSet:
-    """An ordered, indexable collection of points. Duplicates are allowed."""
+    """An ordered, indexable collection of points. Duplicates are allowed.
 
-    __slots__ = ("points",)
+    ``_sorted`` caches the solvers' presorted view of ``points`` (see
+    ``solvers._presort``) as a ``(points, view)`` pair, so solving one set
+    with many partition parameters sorts it once.
+    """
+
+    __slots__ = ("points", "_sorted")
 
     def __init__(self, points):
         self.points = tuple(points)
@@ -65,6 +70,9 @@ class OpCounter:
     solvers scan only pairs across a line whose two sides are both already
     solved, the premise of the classical bound of 7 successors per point
     (Preparata & Shamos 1985, section 5.4).  It does not affect counting.
+    Left points that lie a window or more outside the y range of a line's
+    right side are not passed to the scan and log no span; they would log 0,
+    so span sums and maxima are unchanged.
     """
 
     dc: int = 0

@@ -7,9 +7,10 @@ distance-computation counts.  The brute-force solver doubles as the oracle
 the others are tested against.
 """
 
+import math
 from dataclasses import dataclass
 
-from .errors import InsufficientPoints, InvalidPartition
+from .errors import DistanceOverflow, InsufficientPoints, InvalidPartition
 from .geometry import ClosestPairResult, OpCounter, PointSet, squared_distance
 
 
@@ -32,7 +33,10 @@ class MergeState:
 
 
 def brute_force(point_set: PointSet, counter: OpCounter) -> ClosestPairResult:
-    """Evaluate all C(n,2) pairs in input order; exactly n(n-1)/2 DCs."""
+    """Evaluate all C(n,2) pairs in input order; exactly n(n-1)/2 DCs.
+
+    Raises ``DistanceOverflow`` when even the closest squared distance is inf.
+    """
     n = len(point_set)
     if n < 2:
         raise InsufficientPoints(f"need at least 2 points, got {n}")
@@ -43,7 +47,17 @@ def brute_force(point_set: PointSet, counter: OpCounter) -> ClosestPairResult:
         pi = pts[i]
         for j in range(i + 1, n):
             state.offer(squared_distance(pi, pts[j], counter), i, j)
-    return ClosestPairResult(state.i, state.j, state.dist_sq, counter.dc - start)
+    return _result(state, counter.dc - start)
+
+
+def _result(state: MergeState, dc_used: int) -> ClosestPairResult:
+    # Once the minimum is inf every pair ties at inf, so the pair that won
+    # says nothing about the input: refuse to report one.
+    if state.dist_sq == math.inf:
+        raise DistanceOverflow(
+            "every squared distance overflows to inf: the closest pair is about 1.3e154 or more apart"
+        )
+    return ClosestPairResult(state.i, state.j, state.dist_sq, dc_used)
 
 
 def strip_scan(strip, state: MergeState, counter: OpCounter, split=None) -> MergeState:
@@ -62,7 +76,10 @@ def strip_scan(strip, state: MergeState, counter: OpCounter, split=None) -> Merg
     tightening the window for the rest of the scan.
 
     When ``counter.scan_spans`` is a list, each strip point appends the
-    number of successors it was compared against.
+    number of successors it was compared against.  The k-way core passes
+    only the left points inside the right side's y-band (those that can meet
+    a right point), so left points outside it log no span; they would log 0,
+    so span sums and maxima are the same as over the whole in-window strip.
     """
     spans = counter.scan_spans
     best = state.dist_sq
@@ -140,6 +157,14 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     window.  When every region is a single point (a = n) the minimum starts
     empty and is seeded with line 1's only cross pair, which leaves that line
     nothing to scan.  Values of ``a`` above n are clamped to n.
+
+    Each line's strip is found by galloping search, so a line costs about
+    what can cross it: the in-window run left of the line, then the left
+    points within the window of region t+1's y range.  Left points a window
+    or more below or above that range are not passed to ``strip_scan`` and
+    log no span; they would meet nothing, so pairs, DC counts and span sums
+    and maxima are unchanged.  Raises ``DistanceOverflow`` when even the
+    closest squared distance is inf.
     """
     n = len(point_set)
     if n < 2:
@@ -148,7 +173,7 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
         raise InvalidPartition(f"partition parameter must be >= 2, got {a}")
     start = counter.dc
     state = _solve(*_presort(point_set), 0, n, a, counter)
-    return ClosestPairResult(state.i, state.j, state.dist_sq, counter.dc - start)
+    return _result(state, counter.dc - start)
 
 
 def balanced_partition(lo: int, hi: int, regions: int) -> list:
@@ -177,15 +202,21 @@ def _presort(point_set):
     # order, so the equal-size split is deterministic even when x values
     # repeat.  The strip order is (y, index): ``ypts`` and ``yidx`` hold the
     # points and their indices in that order, and ``rank`` maps each x-sorted
-    # position to its place in it.
+    # position to its place in it.  The view is read-only, so it is cached on
+    # the set for as long as its ``points`` tuple stays the same.
     pts = point_set.points
+    cached = getattr(point_set, "_sorted", None)
+    if cached is not None and cached[0] is pts:
+        return cached[1]
     yidx = sorted(range(len(pts)), key=[p.y for p in pts].__getitem__)
     ypts = [pts[k] for k in yidx]
     rank = sorted(range(len(pts)), key=[p.x for p in ypts].__getitem__)
     spts = [ypts[r] for r in rank]
     order = [yidx[r] for r in rank]
     xs = [p.x for p in spts]
-    return spts, order, xs, rank, ypts, yidx
+    view = spts, order, xs, rank, ypts, yidx
+    point_set._sorted = (pts, view)
+    return view
 
 
 def _solve(spts, order, xs, rank, ypts, yidx, lo, hi, a, counter):
@@ -221,14 +252,25 @@ def _solve(spts, order, xs, rank, ypts, yidx, lo, hi, a, counter):
     for boundary, end in zip(stops, stops[1:]):
         x_line = dividing_x(xs, boundary)
         window = state.dist_sq
-        # In-window points are contiguous in x order: grow outward from the boundary.
+        # In-window points are contiguous in x order and end at the boundary:
+        # gallop out from it, doubling the step while the probe is in the
+        # window, then halve the step back down onto the first in-window point.
         first = boundary
-        while first > lo:
-            dx = xs[first - 1] - x_line
-            if dx * dx < window:
-                first -= 1
-            else:
+        step = 1
+        while first - step >= lo:
+            dx = xs[first - step] - x_line
+            if dx * dx >= window:
                 break
+            first -= step
+            step += step
+        while step > 1:
+            step >>= 1
+            if first - step >= lo:
+                dx = xs[first - step] - x_line
+                if dx * dx < window:
+                    first -= step
+        if first == boundary:
+            continue
         last = boundary
         while last < end:
             dx = xs[last] - x_line
@@ -236,9 +278,46 @@ def _solve(spts, order, xs, rank, ypts, yidx, lo, hi, a, counter):
                 last += 1
             else:
                 break
-        if first < boundary < last:
-            strip = [(ypts[r], yidx[r]) for r in sorted(rank[first:boundary])]
+        if last == boundary:
+            continue
+        right = sorted(rank[boundary:last])
+        left = sorted(rank[first:boundary])
+        # A left point a window or more below the lowest right point, or above
+        # the highest, meets nothing in the scan; those points are a prefix
+        # and a suffix of the y order, so gallop in from both ends.
+        low = ypts[right[0]].y
+        stop = len(left)
+        keep = 0
+        step = 1
+        while keep + step <= stop:
+            dy = low - ypts[left[keep + step - 1]].y
+            if dy <= 0 or dy * dy < window:
+                break
+            keep += step
+            step += step
+        while step > 1:
+            step >>= 1
+            if keep + step <= stop:
+                dy = low - ypts[left[keep + step - 1]].y
+                if dy > 0 and dy * dy >= window:
+                    keep += step
+        high = ypts[right[-1]].y
+        step = 1
+        while stop - step >= keep:
+            dy = ypts[left[stop - step]].y - high
+            if dy <= 0 or dy * dy < window:
+                break
+            stop -= step
+            step += step
+        while step > 1:
+            step >>= 1
+            if stop - step >= keep:
+                dy = ypts[left[stop - step]].y - high
+                if dy > 0 and dy * dy >= window:
+                    stop -= step
+        if keep < stop:
+            strip = [(ypts[r], yidx[r]) for r in left[keep:stop]]
             split = len(strip)
-            strip += [(ypts[r], yidx[r]) for r in sorted(rank[boundary:last])]
+            strip += [(ypts[r], yidx[r]) for r in right]
             strip_scan(strip, state, counter, split)
     return state

@@ -252,6 +252,14 @@ class TestErrorMapping:
         assert code == 3
         assert out == "" and "point count" in err
 
+    @pytest.mark.parametrize("algo", [["brute"], ["two"], ["kway", "--a", "3"]])
+    def test_distance_overflow_exits_3(self, algo, tmp_path, capsys):
+        f = tmp_path / "far.txt"
+        f.write_text("0 0\n1e200 0\n0 -1e200\n")
+        code, out, err = run_cli(["solve", "--input", str(f), "--algo", *algo], capsys)
+        assert code == 3
+        assert out == "" and "overflows to inf" in err
+
     def test_unexpected_value_error_propagates(self, tmp_path, monkeypatch, capsys):
         # an internal bug inside a solver is not a usage error: no exit code 3
         def broken(p, q, counter):

@@ -10,7 +10,15 @@ restricted to pairs across the line (the regions left of it against the one
 region right of it), so that no pair is evaluated twice.  That changed 31 of
 the 72 rows, only in ``dc_used`` and the span sum, and none went up; every
 ``(i, j, dist_sq.hex())`` stayed as first recorded.
+
+``DEGENERATE_PINS`` covers the inputs of the benchmark's ``degenerate_mix``
+workload (two columns, a vertical line and a duplicate grid at n=512, shuffled
+and translated as its seed 1 does) at a = 2, 16 and n.  They were recorded
+before each line's strip was narrowed by galloping search.
 """
+
+import math
+import random
 
 import pytest
 
@@ -46,6 +54,26 @@ def _corpus():
 
 
 CORPUS = _corpus()
+
+
+def _degenerate_corpus(n=512, seed=1):
+    side = max(2, math.isqrt(n // 2))
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    families = {
+        "two columns": [(k % 2, k) for k in range(n)],
+        "vertical line": [(0, k) for k in range(n)],
+        "duplicate grid": [cells[k % len(cells)] for k in range(n)],
+    }
+    rng = random.Random(seed)
+    out = {}
+    for name, coords in families.items():
+        rng.shuffle(coords)
+        ox, oy = rng.randint(-1000, 1000), rng.randint(-1000, 1000)
+        out[f"{name} n={n}"] = PointSet.from_coords((x + ox, y + oy) for x, y in coords)
+    return out
+
+
+DEGENERATE = _degenerate_corpus()
 
 SOLVERS = {
     "2way": lambda ps, c: closest_pair_2way(ps, c),
@@ -163,10 +191,35 @@ PINS = {
 }
 
 
+DEGENERATE_PINS = {
+    "two columns n=512": {
+        "kway a=2": (342, 485, "0x1.0000000000000p+1", 767, 511),
+        "kway a=16": (342, 485, "0x1.0000000000000p+1", 767, 511),
+        "kway a=n": (342, 485, "0x1.0000000000000p+1", 512, 511),
+    },
+    "vertical line n=512": {
+        "kway a=2": (276, 290, "0x1.0000000000000p+0", 256, 0),
+        "kway a=16": (276, 290, "0x1.0000000000000p+0", 256, 0),
+        "kway a=n": (276, 290, "0x1.0000000000000p+0", 1, 0),
+    },
+    "duplicate grid n=512": {
+        "kway a=2": (177, 483, "0x0.0p+0", 256, 0),
+        "kway a=16": (177, 483, "0x0.0p+0", 256, 0),
+        "kway a=n": (177, 483, "0x0.0p+0", 1, 0),
+    },
+}
+
+
 @pytest.mark.parametrize("case", sorted(CORPUS))
 @pytest.mark.parametrize("solver", list(SOLVERS))
 def test_pinned_output(case, solver):
     assert pinned_row(solver, CORPUS[case]) == PINS[case][solver]
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+@pytest.mark.parametrize("solver", ["kway a=2", "kway a=16", "kway a=n"])
+def test_pinned_benchmark_inputs(case, solver):
+    assert pinned_row(solver, DEGENERATE[case]) == DEGENERATE_PINS[case][solver]
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closepair.errors import InsufficientPoints, InvalidPartition
+from closepair import solvers
+from closepair.errors import DistanceOverflow, InsufficientPoints, InvalidPartition
 from closepair.experiments import gen_uniform_points
 from closepair.geometry import OpCounter, Point, PointSet, squared_distance
 from closepair.solvers import (
@@ -222,6 +223,17 @@ class TestKWay:
             r = closest_pair_kway(ps, 25, c)
             assert r.dc_used == 1 + sum(c.scan_spans)
 
+    def test_presort_cached_per_points_tuple(self):
+        # the sorted view is reused while ``points`` stays the same tuple and
+        # rebuilt when it is replaced; a stale view would report old indices
+        ps = point_set([(0, 0), (0, 1), (10, 10)])
+        assert solvers._presort(ps) is solvers._presort(ps)
+        r = closest_pair_kway(ps, 2, OpCounter())
+        assert (r.i, r.j) == (0, 1)
+        ps.points = (ps[2], ps[0], ps[1])
+        r = closest_pair_kway(ps, 2, OpCounter())
+        assert (r.i, r.j) == (1, 2)
+
     def test_all_points_identical(self):
         ps = point_set([(2, 2)] * 5)
         for a in (2, 3, 5):
@@ -289,6 +301,70 @@ class TestCrossSolverProperties:
             c = OpCounter(scan_spans=[])
             run(c)
             assert all(span <= 7 for span in c.scan_spans)
+
+
+class TestFloatEdges:
+    SOLVES = {
+        "brute": lambda ps, c: brute_force(ps, c),
+        "2way": lambda ps, c: closest_pair_2way(ps, c),
+        "kway a=3": lambda ps, c: closest_pair_kway(ps, 3, c),
+        "kway a=n": lambda ps, c: closest_pair_kway(ps, len(ps), c),
+    }
+
+    @pytest.mark.parametrize("solver", list(SOLVES))
+    def test_overflow_to_inf_raises(self, solver):
+        # every pair is about 1e200 apart, so every squared distance is inf
+        ps = point_set([(0.0, 0.0), (1e200, 0.0), (0.0, 1e200), (-1e200, -1e200)])
+        with pytest.raises(DistanceOverflow):
+            self.SOLVES[solver](ps, OpCounter())
+
+    @pytest.mark.parametrize("solver", list(SOLVES))
+    def test_one_finite_pair_among_overflows(self, solver):
+        ps = point_set([(0.0, 0.0), (1e200, 0.0), (1e200, 1.0), (-1e200, 5.0)])
+        r = self.SOLVES[solver](ps, OpCounter())
+        assert (r.i, r.j, r.dist_sq) == (1, 2, 1.0)
+
+    @pytest.mark.parametrize("solver", list(SOLVES))
+    def test_underflow_reports_zero_for_distinct_points(self, solver):
+        # documented: a squared distance below the smallest subnormal is 0
+        ps = point_set([(0.0, 0.0), (1e-170, 0.0), (5.0, 5.0), (5.0, 6.0)])
+        r = self.SOLVES[solver](ps, OpCounter())
+        assert ps[0] != ps[1]
+        assert (r.i, r.j, r.dist_sq) == (0, 1, 0.0)
+
+
+class TestStripWork:
+    """Strip points handed to ``strip_scan`` grow about linearly on degenerate inputs.
+
+    The DC meter does not see strip building, so this counts the points
+    directly.  A line whose whole left side was passed to the scan made
+    these counts grow 4x per doubling of n at a = n.
+    """
+
+    FAMILIES = {
+        "vertical line": lambda n: [(0.0, float(k)) for k in range(n)],
+        "two columns": lambda n: [(float(k % 2), float(k)) for k in range(n)],
+    }
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("a", [16, "n"])
+    def test_strip_points_per_doubling(self, family, a, monkeypatch):
+        scan = solvers.strip_scan
+        received = [0]
+
+        def counting(strip, *args):
+            received[0] += len(strip)
+            return scan(strip, *args)
+
+        monkeypatch.setattr(solvers, "strip_scan", counting)
+        totals = []
+        for n in (256, 512, 1024):
+            received[0] = 0
+            ps = point_set(self.FAMILIES[family](n))
+            closest_pair_kway(ps, n if a == "n" else a, OpCounter())
+            totals.append(received[0])
+        assert totals[1] <= 2.5 * totals[0]
+        assert totals[2] <= 2.5 * totals[1]
 
 
 class TestBalancedPartition:

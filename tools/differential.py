@@ -1,0 +1,74 @@
+"""Differential run of the divide-and-conquer solvers over a fixed random corpus.
+
+Usage: python3 tools/differential.py <src> <out>
+
+Imports ``closepair`` from the source directory <src>, solves 4,000 inputs
+drawn from ``random.Random(0xD1FF)`` (n from 2 to 40; uniform, duplicate,
+repeated-x, signed-zero, small-grid, two-column and vertical-line styles)
+with ``closest_pair_2way`` and with ``closest_pair_kway`` at every a in
+2..n+2, and writes one row per solve to <out>:
+``(i, j, dist_sq.hex(), dc_used, nonzero scan spans in order)``.  It prints
+the row count, the number of solves whose distance differs from
+``brute_force``, and the sha256 of <out>.  Two source trees that evaluate the
+same pairs in the same order print the same digest.  Standard library only.
+"""
+
+import hashlib
+import random
+import sys
+
+STYLES = ("uniform", "duplicates", "repeated x", "signed zeros", "grid", "two columns", "vertical line")
+
+
+def make_coords(rnd, style, n):
+    if style == "uniform":
+        return [(rnd.random(), rnd.random()) for _ in range(n)]
+    if style == "duplicates":
+        base = [(rnd.random(), rnd.random()) for _ in range(max(1, n // 3))]
+        return [rnd.choice(base) for _ in range(n)]
+    if style == "repeated x":
+        return [(float(rnd.randint(0, 5)), rnd.random()) for _ in range(n)]
+    if style == "signed zeros":
+        return [(rnd.choice((0.0, -0.0, rnd.random() - 0.5)), rnd.choice((0.0, -0.0, rnd.random())))
+                for _ in range(n)]
+    if style == "grid":
+        return [(float(rnd.randint(0, 4)), float(rnd.randint(0, 4))) for _ in range(n)]
+    if style == "two columns":
+        return [(float(k % 2), rnd.random()) for k in range(n)]
+    return [(0.5, rnd.random()) for _ in range(n)]
+
+
+def main(argv):
+    if len(argv) != 3:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    sys.path.insert(0, argv[1])
+    from closepair.geometry import OpCounter, PointSet
+    from closepair.solvers import brute_force, closest_pair_2way, closest_pair_kway
+
+    rnd = random.Random(0xD1FF)
+    rows = 0
+    mismatches = 0
+    with open(argv[2], "w") as out:
+        for case in range(4000):
+            style = STYLES[case % len(STYLES)]
+            n = rnd.randint(2, 40)
+            ps = PointSet.from_coords(make_coords(rnd, style, n))
+            expected = brute_force(ps, OpCounter()).dist_sq
+            runs = [("2way", lambda c: closest_pair_2way(ps, c))]
+            runs += [(f"a={a}", lambda c, a=a: closest_pair_kway(ps, a, c)) for a in range(2, n + 3)]
+            for label, run in runs:
+                counter = OpCounter(scan_spans=[])
+                r = run(counter)
+                spans = [s for s in counter.scan_spans if s]
+                mismatches += r.dist_sq != expected
+                rows += 1
+                out.write(f"{case} {label} {(r.i, r.j, r.dist_sq.hex(), r.dc_used, spans)}\n")
+    with open(argv[2], "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
+    print(f"rows {rows}  mismatches against brute force {mismatches}  sha256 {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
