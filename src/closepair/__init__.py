@@ -20,7 +20,6 @@ from .solvers import (
     brute_force,
     closest_pair_2way,
     closest_pair_kway,
-    strip_scan,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "splitmix64_mix",
     "splitmix64_stream",
     "squared_distance",
-    "strip_scan",
 ]
 
 __version__ = "0.1.0"

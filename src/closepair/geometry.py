@@ -28,7 +28,9 @@ class PointSet:
 
     ``_sorted`` caches the solvers' presorted view of ``points`` (see
     ``solvers._presort``) as a ``(points, view)`` pair, so solving one set
-    with many partition parameters sorts it once.
+    with many partition parameters sorts it once.  The view is four lists:
+    the x-sorted positions' x values and y-ranks, and the points and their
+    indices in y-rank order.
     """
 
     __slots__ = ("points", "_sorted")
@@ -70,9 +72,10 @@ class OpCounter:
     solvers scan only pairs across a line whose two sides are both already
     solved, the premise of the classical bound of 7 successors per point
     (Preparata & Shamos 1985, section 5.4).  It does not affect counting.
-    Left points that lie a window or more outside the y range of a line's
-    right side are not passed to the scan and log no span; they would log 0,
-    so span sums and maxima are unchanged.
+    Each span is logged as the scan merge-walks a line's two runs of
+    y-ranks.  Left points that lie a window or more outside the y range of
+    the line's right side are trimmed off by bisection before the scan and
+    log no span; they would log 0, so span sums and maxima are unchanged.
     """
 
     dc: int = 0

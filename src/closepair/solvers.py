@@ -8,6 +8,7 @@ the others are tested against.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import DistanceOverflow, InsufficientPoints, InvalidPartition
@@ -60,19 +61,16 @@ def _result(state: MergeState, dc_used: int) -> ClosestPairResult:
     return ClosestPairResult(state.i, state.j, state.dist_sq, dc_used)
 
 
-def strip_scan(strip, state: MergeState, counter: OpCounter, split=None) -> MergeState:
-    """Scan a y-sorted strip, folding candidate pairs into the running minimum.
+def strip_scan(strip, split: int, ypts, yidx, state: MergeState, counter: OpCounter) -> MergeState:
+    """Merge-walk the two sides of a dividing line, folding cross pairs into the running minimum.
 
-    ``strip`` is a sequence of (Point, original_index) pairs.  Without
-    ``split`` it is one run sorted by (y, original index) ascending, and each
-    point is compared against subsequent points while the squared y-gap is
-    below the current best; when the state is empty the first comparison
-    happens unconditionally.  With ``split``, ``strip[:split]`` and
-    ``strip[split:]`` are the two sides of a dividing line, each sorted the
-    same way, and the two runs are walked against each other so that only
-    pairs with one point on each side are compared: each point meets the
-    other side's points that follow it in (y, original index) order.  Every
-    comparison costs one DC, and improvements take effect immediately,
+    ``strip[:split]`` and ``strip[split:]`` are the left and right sides, each
+    a run of ascending y-ranks: rank ``r`` names the point ``ypts[r]`` with
+    original index ``yidx[r]``, and rank order is (y, original index) order.
+    The two runs are merge-walked so that only pairs with one point on each
+    side are compared: each point meets the other side's points that follow
+    it in rank order while the squared y-gap is below the current best.
+    Every comparison costs one DC, and improvements take effect immediately,
     tightening the window for the rest of the scan.
 
     When ``counter.scan_spans`` is a list, each strip point appends the
@@ -84,43 +82,26 @@ def strip_scan(strip, state: MergeState, counter: OpCounter, split=None) -> Merg
     spans = counter.scan_spans
     best = state.dist_sq
     m = len(strip)
-    if split is None:
-        for i in range(m):
-            pi, oi = strip[i]
-            yi = pi.y
-            span = 0
-            for j in range(i + 1, m):
-                pj, oj = strip[j]
-                if best is not None:
-                    dy = pj.y - yi
-                    if dy * dy >= best:
-                        break
-                span += 1
-                d = squared_distance(pi, pj, counter)
-                if best is None or d < best:
-                    state.offer(d, oi, oj)
-                    best = d
-            if spans is not None:
-                spans.append(span)
-        return state
     i = 0
     j = split
     while i < split and j < m:
-        p, op = strip[i]
-        q, oq = strip[j]
         # The lower of the two run heads goes next and meets the other run
         # from its head on, so every cross pair is met exactly once.
-        if q.y < p.y or (q.y == p.y and oq < op):
-            p, op = q, oq
+        if strip[j] < strip[i]:
+            r = strip[j]
             j += 1
             k, end = i, split
         else:
+            r = strip[i]
             i += 1
             k, end = j, m
+        p = ypts[r]
+        op = yidx[r]
         y = p.y
         span = 0
         while k < end:
-            q, oq = strip[k]
+            s = strip[k]
+            q = ypts[s]
             if best is not None:
                 dy = q.y - y
                 if dy * dy >= best:
@@ -128,7 +109,7 @@ def strip_scan(strip, state: MergeState, counter: OpCounter, split=None) -> Merg
             span += 1
             d = squared_distance(p, q, counter)
             if best is None or d < best:
-                state.offer(d, op, oq)
+                state.offer(d, op, yidx[s])
                 best = d
             k += 1
         if spans is not None:
@@ -158,13 +139,14 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     empty and is seeded with line 1's only cross pair, which leaves that line
     nothing to scan.  Values of ``a`` above n are clamped to n.
 
-    Each line's strip is found by galloping search, so a line costs about
-    what can cross it: the in-window run left of the line, then the left
-    points within the window of region t+1's y range.  Left points a window
-    or more below or above that range are not passed to ``strip_scan`` and
-    log no span; they would meet nothing, so pairs, DC counts and span sums
-    and maxima are unchanged.  Raises ``DistanceOverflow`` when even the
-    closest squared distance is inf.
+    Each line's strip is a list of y-ranks, found so that a line costs about
+    what can cross it: a galloping search finds the in-window run left of the
+    line, then a bisection and a few bounded steps from each end of region
+    t+1's y range keep the left points within the window of it.  Left points
+    a window or more below or above that range are not passed to
+    ``strip_scan`` and log no span; they would meet nothing, so pairs, DC
+    counts and span sums and maxima are unchanged.  Raises
+    ``DistanceOverflow`` when even the closest squared distance is inf.
     """
     n = len(point_set)
     if n < 2:
@@ -200,10 +182,11 @@ def dividing_x(xs, stop: int) -> float:
 def _presort(point_set):
     # Two stable sorts, by y and then by x, put the points in (x, y, index)
     # order, so the equal-size split is deterministic even when x values
-    # repeat.  The strip order is (y, index): ``ypts`` and ``yidx`` hold the
-    # points and their indices in that order, and ``rank`` maps each x-sorted
-    # position to its place in it.  The view is read-only, so it is cached on
-    # the set for as long as its ``points`` tuple stays the same.
+    # repeat.  A point's y-rank is its place in (y, index) order, the strip
+    # order: ``ypts`` and ``yidx`` hold the points and their indices by
+    # y-rank, and ``rank`` and ``xs`` hold the y-rank and x of each x-sorted
+    # position.  The view is read-only, so it is cached on the set for as
+    # long as its ``points`` tuple stays the same.
     pts = point_set.points
     cached = getattr(point_set, "_sorted", None)
     if cached is not None and cached[0] is pts:
@@ -211,21 +194,21 @@ def _presort(point_set):
     yidx = sorted(range(len(pts)), key=[p.y for p in pts].__getitem__)
     ypts = [pts[k] for k in yidx]
     rank = sorted(range(len(pts)), key=[p.x for p in ypts].__getitem__)
-    spts = [ypts[r] for r in rank]
-    order = [yidx[r] for r in rank]
-    xs = [p.x for p in spts]
-    view = spts, order, xs, rank, ypts, yidx
+    xs = [ypts[r].x for r in rank]
+    view = xs, rank, ypts, yidx
     point_set._sorted = (pts, view)
     return view
 
 
-def _solve(spts, order, xs, rank, ypts, yidx, lo, hi, a, counter):
+def _solve(xs, rank, ypts, yidx, lo, hi, a, counter):
     m = hi - lo
     if m <= 3:
         state = MergeState()
         for i in range(lo, hi - 1):
+            r = rank[i]
             for j in range(i + 1, hi):
-                state.offer(squared_distance(spts[i], spts[j], counter), order[i], order[j])
+                s = rank[j]
+                state.offer(squared_distance(ypts[r], ypts[s], counter), yidx[r], yidx[s])
         return state
     stops = balanced_partition(lo, hi, min(a, m))
     # The first solved region's state is the running minimum as it stands:
@@ -234,7 +217,7 @@ def _solve(spts, order, xs, rank, ypts, yidx, lo, hi, a, counter):
     start = lo
     for stop in stops:
         if stop - start >= 2:
-            sub = _solve(spts, order, xs, rank, ypts, yidx, start, stop, a, counter)
+            sub = _solve(xs, rank, ypts, yidx, start, stop, a, counter)
             if state is None:
                 state = sub
             else:
@@ -244,7 +227,9 @@ def _solve(spts, order, xs, rank, ypts, yidx, lo, hi, a, counter):
         # Every region is a single point, so line 1's only cross pair is the
         # seed across it, and the sweep enters line 2 with a finite window.
         state = MergeState()
-        state.offer(squared_distance(spts[lo], spts[lo + 1], counter), order[lo], order[lo + 1])
+        r = rank[lo]
+        s = rank[lo + 1]
+        state.offer(squared_distance(ypts[r], ypts[s], counter), yidx[r], yidx[s])
         stops = stops[1:]
     # A pair with points in regions s < r is a cross pair at line r-1 only,
     # where both points lie within d(p, q) of the line: a pair closer than
@@ -282,42 +267,24 @@ def _solve(spts, order, xs, rank, ypts, yidx, lo, hi, a, counter):
             continue
         right = sorted(rank[boundary:last])
         left = sorted(rank[first:boundary])
-        # A left point a window or more below the lowest right point, or above
-        # the highest, meets nothing in the scan; those points are a prefix
-        # and a suffix of the y order, so gallop in from both ends.
+        # Only left points within the window of the right side's y range can
+        # meet a right point.  Both sides are solved, so left points are
+        # pairwise at least the window apart and only a few lie within the
+        # window of either end: bisect to each end, then step outward past them.
         low = ypts[right[0]].y
-        stop = len(left)
-        keep = 0
-        step = 1
-        while keep + step <= stop:
-            dy = low - ypts[left[keep + step - 1]].y
-            if dy <= 0 or dy * dy < window:
+        keep = bisect_left(left, right[0])
+        while keep:
+            dy = low - ypts[left[keep - 1]].y
+            if dy > 0 and dy * dy >= window:
                 break
-            keep += step
-            step += step
-        while step > 1:
-            step >>= 1
-            if keep + step <= stop:
-                dy = low - ypts[left[keep + step - 1]].y
-                if dy > 0 and dy * dy >= window:
-                    keep += step
+            keep -= 1
         high = ypts[right[-1]].y
-        step = 1
-        while stop - step >= keep:
-            dy = ypts[left[stop - step]].y - high
-            if dy <= 0 or dy * dy < window:
+        stop = bisect_left(left, right[-1], keep)
+        while stop < len(left):
+            dy = ypts[left[stop]].y - high
+            if dy > 0 and dy * dy >= window:
                 break
-            stop -= step
-            step += step
-        while step > 1:
-            step >>= 1
-            if stop - step >= keep:
-                dy = ypts[left[stop - step]].y - high
-                if dy > 0 and dy * dy >= window:
-                    stop -= step
+            stop += 1
         if keep < stop:
-            strip = [(ypts[r], yidx[r]) for r in left[keep:stop]]
-            split = len(strip)
-            strip += [(ypts[r], yidx[r]) for r in right]
-            strip_scan(strip, state, counter, split)
+            strip_scan(left[keep:stop] + right, stop - keep, ypts, yidx, state, counter)
     return state

@@ -15,6 +15,13 @@ the 72 rows, only in ``dc_used`` and the span sum, and none went up; every
 workload (two columns, a vertical line and a duplicate grid at n=512, shuffled
 and translated as its seed 1 does) at a = 2, 16 and n.  They were recorded
 before each line's strip was narrowed by galloping search.
+
+``STRIP_WORK_PINS`` records, per solve, the total number of strip points
+handed to ``strip_scan`` and the number of scan calls, on uniform n=2048 and
+on the ``degenerate_mix`` inputs.  A y-band trimmed too loosely only adds
+points that meet nothing (span 0), which DCs, span sums and the differential
+digest cannot see; these counts can.  They were recorded before the strip
+became a list of y-ranks.
 """
 
 import math
@@ -210,6 +217,16 @@ DEGENERATE_PINS = {
 }
 
 
+STRIP_WORK = {"uniform n=2048 seed=8": gen_uniform_points(2048, 8), **DEGENERATE}
+
+STRIP_WORK_PINS = {
+    "uniform n=2048 seed=8": {"kway a=2": (5443, 807), "kway a=16": (2431, 742), "kway a=n": (29, 14)},
+    "two columns n=512": {"kway a=2": (512, 1), "kway a=16": (519, 8), "kway a=n": (767, 256)},
+    "vertical line n=512": {"kway a=2": (0, 0), "kway a=16": (0, 0), "kway a=n": (0, 0)},
+    "duplicate grid n=512": {"kway a=2": (0, 0), "kway a=16": (0, 0), "kway a=n": (0, 0)},
+}
+
+
 @pytest.mark.parametrize("case", sorted(CORPUS))
 @pytest.mark.parametrize("solver", list(SOLVERS))
 def test_pinned_output(case, solver):
@@ -220,6 +237,22 @@ def test_pinned_output(case, solver):
 @pytest.mark.parametrize("solver", ["kway a=2", "kway a=16", "kway a=n"])
 def test_pinned_benchmark_inputs(case, solver):
     assert pinned_row(solver, DEGENERATE[case]) == DEGENERATE_PINS[case][solver]
+
+
+@pytest.mark.parametrize("case", sorted(STRIP_WORK))
+@pytest.mark.parametrize("solver", ["kway a=2", "kway a=16", "kway a=n"])
+def test_pinned_strip_work(case, solver, monkeypatch):
+    scan = solvers.strip_scan
+    work = [0, 0]
+
+    def counting(strip, *args):
+        work[0] += len(strip)
+        work[1] += 1
+        return scan(strip, *args)
+
+    monkeypatch.setattr(solvers, "strip_scan", counting)
+    SOLVERS[solver](STRIP_WORK[case], OpCounter())
+    assert tuple(work) == STRIP_WORK_PINS[case][solver]
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))

@@ -73,8 +73,12 @@ class TestBruteForce:
             brute_force(point_set(coords), OpCounter())
 
 
-def _entry(ps, k):
-    return (ps[k], k)
+def _strip(ps, left, right):
+    """Rank-run strip for the point indices ``left`` and ``right`` of ``ps``, as ``strip_scan`` takes it."""
+    _, _, ypts, yidx = solvers._presort(ps)
+    rank = {k: r for r, k in enumerate(yidx)}
+    strip = sorted(rank[k] for k in left) + sorted(rank[k] for k in right)
+    return strip, len(left), ypts, yidx
 
 
 class TestStripScan:
@@ -82,7 +86,7 @@ class TestStripScan:
         ps = point_set([(0, 0), (0.1, 0.1)])
         state = MergeState(7, 8, 1.0)
         c = OpCounter()
-        strip_scan([_entry(ps, 0), _entry(ps, 1)], state, c)
+        strip_scan(*_strip(ps, [0], [1]), state, c)
         assert state.dist_sq == squared_distance(ps[0], ps[1], OpCounter())
         assert (state.i, state.j) == (0, 1)
         assert c.dc == 1
@@ -91,32 +95,38 @@ class TestStripScan:
         ps = point_set([(0, 0), (0, 10)])
         state = MergeState(7, 8, 1.0)
         c = OpCounter()
-        strip_scan([_entry(ps, 0), _entry(ps, 1)], state, c)
+        strip_scan(*_strip(ps, [0], [1]), state, c)
         assert (state.i, state.j, state.dist_sq) == (7, 8, 1.0)
         assert c.dc == 0
 
     def test_empty_state_matches_brute_force_over_strip(self):
+        # the brute-force minimum over the strip's cross pairs, the only pairs it scans
         ps = gen_uniform_points(50, 424242)
-        order = sorted(range(50), key=lambda k: (ps[k].y, k))
-        state = strip_scan([_entry(ps, k) for k in order], MergeState(), OpCounter())
-        assert state.dist_sq == oracle_min_dist_sq(ps.points)
+        left = [k for k in range(50) if ps[k].x < 0.5]
+        right = [k for k in range(50) if ps[k].x >= 0.5]
+        state = strip_scan(*_strip(ps, left, right), MergeState(), OpCounter())
+        best = min(squared_distance(ps[p], ps[q], OpCounter()) for p in left for q in right)
+        assert state.dist_sq == best
+        assert squared_distance(ps[state.i], ps[state.j], OpCounter()) == best
+        assert (state.i in left) != (state.j in left)
 
     def test_empty_strip_is_noop(self):
         state = MergeState()
-        assert strip_scan([], state, OpCounter()) is state
+        assert strip_scan([], 0, [], [], state, OpCounter()) is state
         assert state.dist_sq is None
 
     def test_single_point_strip_is_noop(self):
-        c = OpCounter()
-        state = strip_scan([_entry(point_set([(1, 1)]), 0)], MergeState(), c)
-        assert state.dist_sq is None and c.dc == 0
+        for left, right in ([0], []), ([], [0]):
+            c = OpCounter()
+            state = strip_scan(*_strip(point_set([(1, 1)]), left, right), MergeState(), c)
+            assert state.dist_sq is None and c.dc == 0
 
     def test_split_compares_only_across_the_sides(self):
         # left run (0, 0), (0, 0.1); right run (0.05, 0.05): the two left
         # points are never compared with each other
         ps = point_set([(0, 0), (0, 0.1), (0.05, 0.05)])
         c = OpCounter(scan_spans=[])
-        state = strip_scan([_entry(ps, 0), _entry(ps, 1), _entry(ps, 2)], MergeState(7, 8, 1.0), c, 2)
+        state = strip_scan(*_strip(ps, [0, 1], [2]), MergeState(7, 8, 1.0), c)
         assert c.dc == 2
         assert state.dist_sq == squared_distance(ps[0], ps[2], OpCounter())
         assert (state.i, state.j) == (0, 2)
@@ -125,9 +135,9 @@ class TestStripScan:
     def test_records_spans_when_enabled(self):
         ps = point_set([(0, 0), (0.1, 0.1), (0, 9)])
         c = OpCounter(scan_spans=[])
-        strip_scan([_entry(ps, k) for k in range(3)], MergeState(7, 8, 1.0), c)
+        strip_scan(*_strip(ps, [0, 2], [1]), MergeState(7, 8, 1.0), c)
         assert len(c.scan_spans) == 3
-        assert sum(c.scan_spans) == c.dc
+        assert sum(c.scan_spans) == c.dc == 1
 
 
 class TestTwoWay:
