@@ -65,6 +65,9 @@ def _cmd_solve(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return PARSE_ERROR
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.input} is not UTF-8 text: {exc}", file=sys.stderr)
+        return PARSE_ERROR
     points = parse_points_text(text)
     counter = OpCounter()
     if args.algo == "brute":

@@ -64,13 +64,15 @@ def _result(state: MergeState, dc_used: int) -> ClosestPairResult:
 def strip_scan(strip, split: int, ypts, yidx, state: MergeState, counter: OpCounter) -> MergeState:
     """Merge-walk the two sides of a dividing line, folding cross pairs into the running minimum.
 
-    ``strip[:split]`` and ``strip[split:]`` are the left and right sides, each
-    a run of ascending y-ranks: rank ``r`` names the point ``ypts[r]`` with
-    original index ``yidx[r]``, and rank order is (y, original index) order.
-    The two runs are merge-walked so that only pairs with one point on each
-    side are compared: each point meets the other side's points that follow
-    it in rank order while the squared y-gap is below the current best.
-    Every comparison costs one DC, and improvements take effect immediately,
+    ``state`` must already hold a minimum, as the k-way sweep's always does:
+    it starts from the leftmost region's.  ``strip[:split]`` and
+    ``strip[split:]`` are the left and right sides, each a run of ascending
+    y-ranks: rank ``r`` names the point ``ypts[r]`` with original index
+    ``yidx[r]``, and rank order is (y, original index) order.  The two runs
+    are merge-walked so that only pairs with one point on each side are
+    compared: each point meets the other side's points that follow it in
+    rank order while the squared y-gap is below the current best.  Every
+    comparison costs one DC, and improvements take effect immediately,
     tightening the window for the rest of the scan.
 
     When ``counter.scan_spans`` is a list, each strip point appends the
@@ -102,13 +104,12 @@ def strip_scan(strip, split: int, ypts, yidx, state: MergeState, counter: OpCoun
         while k < end:
             s = strip[k]
             q = ypts[s]
-            if best is not None:
-                dy = q.y - y
-                if dy * dy >= best:
-                    break
+            dy = q.y - y
+            if dy * dy >= best:
+                break
             span += 1
             d = squared_distance(p, q, counter)
-            if best is None or d < best:
+            if d < best:
                 state.offer(d, op, yidx[s])
                 best = d
             k += 1
@@ -128,16 +129,17 @@ def closest_pair_2way(point_set: PointSet, counter: OpCounter) -> ClosestPairRes
 def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> ClosestPairResult:
     """Divide and conquer with branching factor ``a``.
 
-    Splits into min(a, n) balanced regions, recurses into regions of two or
-    more points with the same ``a``, then sweeps the dividing lines left to
-    right sharing one running minimum.  Line t's strip pairs the in-window
-    points of regions 1..t, which the earlier lines have merged, with those
-    of region t+1, which the recursion has solved; only pairs across the line
-    cost a DC.  No pair is evaluated twice, so a solve spends at most
-    n(n-1)/2 DCs, and both sides of every strip are separated by at least the
-    window.  When every region is a single point (a = n) the minimum starts
-    empty and is seeded with line 1's only cross pair, which leaves that line
-    nothing to scan.  Values of ``a`` above n are clamped to n.
+    Splits into min(a, n - 1) balanced regions, recurses into regions of two
+    or more points with the same ``a``, then sweeps the dividing lines left
+    to right sharing one running minimum, which starts as the leftmost
+    region's: that region always holds two or more points.  Line t's strip
+    pairs the in-window points of regions 1..t, which the earlier lines have
+    merged, with those of region t+1, which the recursion has solved; only
+    pairs across the line cost a DC.  No pair is evaluated twice, so a solve
+    spends at most n(n-1)/2 DCs, and both sides of every strip are separated
+    by at least the window.  The paper's n parts (a = n) and any larger ``a``
+    give the n - 1 regions of a plane sweep: a leftmost pair, then one point
+    per line.
 
     Each line's strip is a list of y-ranks, found so that a line costs about
     what can cross it: a galloping search finds the in-window run left of the
@@ -210,27 +212,16 @@ def _solve(xs, rank, ypts, yidx, lo, hi, a, counter):
                 s = rank[j]
                 state.offer(squared_distance(ypts[r], ypts[s], counter), yidx[r], yidx[s])
         return state
-    stops = balanced_partition(lo, hi, min(a, m))
-    # The first solved region's state is the running minimum as it stands:
-    # offering it into a fresh state would only copy it.
-    state = None
-    start = lo
-    for stop in stops:
+    # At most m - 1 regions, the extras going to the leftmost, so the
+    # leftmost region holds two or more points: its solved minimum is the
+    # running minimum the sweep starts from, as a plane sweep starts from its
+    # first two points.
+    stops = balanced_partition(lo, hi, min(a, m - 1))
+    state = _solve(xs, rank, ypts, yidx, lo, stops[0], a, counter)
+    for start, stop in zip(stops, stops[1:]):
         if stop - start >= 2:
             sub = _solve(xs, rank, ypts, yidx, start, stop, a, counter)
-            if state is None:
-                state = sub
-            else:
-                state.offer(sub.dist_sq, sub.i, sub.j)
-        start = stop
-    if state is None:
-        # Every region is a single point, so line 1's only cross pair is the
-        # seed across it, and the sweep enters line 2 with a finite window.
-        state = MergeState()
-        r = rank[lo]
-        s = rank[lo + 1]
-        state.offer(squared_distance(ypts[r], ypts[s], counter), yidx[r], yidx[s])
-        stops = stops[1:]
+            state.offer(sub.dist_sq, sub.i, sub.j)
     # A pair with points in regions s < r is a cross pair at line r-1 only,
     # where both points lie within d(p, q) of the line: a pair closer than
     # the window is scanned there and nowhere else.

@@ -99,6 +99,14 @@ class TestSolve:
         assert code == 2
         assert err
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_bytes(b"\xff\xfe1 2\n")
+        code, out, err = run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "UTF-8" in err
+
     def test_single_point_exits_3(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("0 0\n")
@@ -297,6 +305,15 @@ class TestEndToEndProcess:
         proc = run_proc(["solve", "--input", str(f), "--algo", "brute"])
         assert proc.returncode == 2
         assert b"line 1" in proc.stderr
+        assert proc.stdout == b""
+
+    def test_non_utf8_file_exit_code(self, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_bytes(b"\xff\xfe1 2\n")
+        proc = run_proc(["solve", "--input", str(f), "--algo", "brute"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error:")
+        assert b"Traceback" not in proc.stderr
         assert proc.stdout == b""
 
     def test_trials_jobs_byte_identical(self):

@@ -271,3 +271,26 @@ def test_each_pair_evaluated_at_most_once(case, solver, monkeypatch):
     assert len(pairs) == r.dc_used
     assert len(set(pairs)) == len(pairs)
     assert r.dc_used <= len(ps) * (len(ps) - 1) // 2
+
+
+# At a = n - 1 the leftmost region holds two points and every other region
+# one.  A node never splits into more regions than that, so a = n - 1, n and
+# n + 5 must run the same sweep from the same leftmost pair: the same pairs
+# in the same order, hence the same spans.
+LEFTMOST_SWEEP = {
+    **{name: ps for name, ps in CORPUS.items() if len(ps) >= 3},
+    **DEGENERATE,
+    "uniform n=2048 seed=8": STRIP_WORK["uniform n=2048 seed=8"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEFTMOST_SWEEP))
+def test_a_at_least_n_minus_1_runs_one_sweep(case):
+    ps = LEFTMOST_SWEEP[case]
+    n = len(ps)
+    rows = []
+    for a in (n - 1, n, n + 5):
+        counter = OpCounter(scan_spans=[])
+        r = closest_pair_kway(ps, a, counter)
+        rows.append((r.i, r.j, r.dist_sq.hex(), r.dc_used, counter.scan_spans))
+    assert rows[0] == rows[1] == rows[2]

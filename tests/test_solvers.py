@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -100,11 +101,12 @@ class TestStripScan:
         assert c.dc == 0
 
     def test_empty_state_matches_brute_force_over_strip(self):
-        # the brute-force minimum over the strip's cross pairs, the only pairs it scans
+        # a state holding an infinite minimum excludes no finite gap, so the
+        # scan meets every cross pair and ends on their brute-force minimum
         ps = gen_uniform_points(50, 424242)
         left = [k for k in range(50) if ps[k].x < 0.5]
         right = [k for k in range(50) if ps[k].x >= 0.5]
-        state = strip_scan(*_strip(ps, left, right), MergeState(), OpCounter())
+        state = strip_scan(*_strip(ps, left, right), MergeState(-1, -1, math.inf), OpCounter())
         best = min(squared_distance(ps[p], ps[q], OpCounter()) for p in left for q in right)
         assert state.dist_sq == best
         assert squared_distance(ps[state.i], ps[state.j], OpCounter()) == best
@@ -184,9 +186,10 @@ class TestKWay:
         c = OpCounter()
         r = closest_pair_kway(point_set([(0, 0), (1, 0), (2, 0), (3, 0)]), 4, c)
         assert r.dist_sq == 1.0
-        # line 1's only cross pair is the seed (0, 1); the window is then 1,
-        # so lines 2 and 3 (x = 1.5, 2.5) each hold one point per side within
-        # it, one cross pair each: (1, 2) and (2, 3)
+        # a = 4 splits into 3 regions; the leftmost, (0, 1), is solved as a
+        # leaf and makes the window 1, so lines 2 and 3 (x = 1.5, 2.5) each
+        # hold one point per side within it, one cross pair each: (1, 2) and
+        # (2, 3)
         assert r.dc_used == 3
 
     def test_two_points(self):
@@ -225,8 +228,9 @@ class TestKWay:
             assert r2.dc_used == rk.dc_used
 
     def test_a_equals_n_has_zero_local_cost(self):
-        # with singleton regions every DC is either the one seed or a strip
-        # comparison, so the span log accounts for dc_used exactly
+        # the leftmost region holds two points and every other region one, so
+        # every DC is either that region's one pair or a strip comparison, and
+        # the span log accounts for dc_used exactly
         for seed in range(20):
             ps = gen_uniform_points(25, 1000 + seed)
             c = OpCounter(scan_spans=[])

@@ -10,7 +10,8 @@ with ``closest_pair_2way`` and with ``closest_pair_kway`` at every a in
 ``(i, j, dist_sq.hex(), dc_used, nonzero scan spans in order)``.  It prints
 the row count, the number of solves whose distance differs from
 ``brute_force``, and the sha256 of <out>.  Two source trees that evaluate the
-same pairs in the same order print the same digest.  Standard library only.
+same pairs in the same order print the same digest.  Exits 1 when any solve
+mismatches brute force and 2 on a usage error.  Standard library only.
 """
 
 import hashlib
@@ -67,7 +68,7 @@ def main(argv):
     with open(argv[2], "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
     print(f"rows {rows}  mismatches against brute force {mismatches}  sha256 {digest}")
-    return 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
