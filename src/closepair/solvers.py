@@ -8,7 +8,7 @@ the others are tested against.
 """
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import DistanceOverflow, InsufficientPoints, InvalidPartition
@@ -142,13 +142,19 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     per line.
 
     Each line's strip is a list of y-ranks, found so that a line costs about
-    what can cross it: a galloping search finds the in-window run left of the
-    line, then a bisection and a few bounded steps from each end of region
-    t+1's y range keep the left points within the window of it.  Left points
-    a window or more below or above that range are not passed to
-    ``strip_scan`` and log no span; they would meet nothing, so pairs, DC
-    counts and span sums and maxima are unchanged.  Raises
-    ``DistanceOverflow`` when even the closest squared distance is inf.
+    what can cross it.  The in-window run left of the line only loses points
+    from its left end as the sweep moves right, so each line resumes from the
+    previous line's first in-window point: it is kept when it is still in the
+    window, and otherwise a galloping search from the line finds the new
+    first point.  The run's y order is carried from line to line: points that
+    left the window are deleted from it, and the region that entered is
+    inserted (one point) or merged in (more), so it is sorted afresh only
+    when every carried point has left.  A bisection and a few bounded steps
+    from each end of region t+1's y range then keep the left points within
+    the window of that range.  Left points a window or more below or above
+    that range are not passed to ``strip_scan`` and log no span; they would
+    meet nothing, so pairs, DC counts and span sums and maxima are unchanged.
+    Raises ``DistanceOverflow`` when even the closest squared distance is inf.
     """
     n = len(point_set)
     if n < 2:
@@ -224,27 +230,35 @@ def _solve(xs, rank, ypts, yidx, lo, hi, a, counter):
             state.offer(sub.dist_sq, sub.i, sub.j)
     # A pair with points in regions s < r is a cross pair at line r-1 only,
     # where both points lie within d(p, q) of the line: a pair closer than
-    # the window is scanned there and nowhere else.
+    # the window is scanned there and nowhere else.  The line only moves right
+    # and the window only shrinks, so a left point out of the window stays
+    # out: ``first``, the first in-window position, never moves left, and
+    # ``left`` carries the y-ranks of positions [gone, held) from line to line.
+    first = gone = held = lo
     for boundary, end in zip(stops, stops[1:]):
         x_line = dividing_x(xs, boundary)
         window = state.dist_sq
-        # In-window points are contiguous in x order and end at the boundary:
-        # gallop out from it, doubling the step while the probe is in the
-        # window, then halve the step back down onto the first in-window point.
-        first = boundary
-        step = 1
-        while first - step >= lo:
-            dx = xs[first - step] - x_line
-            if dx * dx >= window:
-                break
-            first -= step
-            step += step
-        while step > 1:
-            step >>= 1
-            if first - step >= lo:
+        dx = xs[first] - x_line
+        if dx * dx >= window:
+            # In-window points are contiguous in x order and end at the
+            # boundary: gallop out from it, doubling the step while the probe
+            # is in the window, then halve the step back down onto the first
+            # in-window point, never reaching the previous line's first.
+            floor = first + 1
+            first = boundary
+            step = 1
+            while first - step >= floor:
                 dx = xs[first - step] - x_line
-                if dx * dx < window:
-                    first -= step
+                if dx * dx >= window:
+                    break
+                first -= step
+                step += step
+            while step > 1:
+                step >>= 1
+                if first - step >= floor:
+                    dx = xs[first - step] - x_line
+                    if dx * dx < window:
+                        first -= step
         if first == boundary:
             continue
         last = boundary
@@ -257,7 +271,18 @@ def _solve(xs, rank, ypts, yidx, lo, hi, a, counter):
         if last == boundary:
             continue
         right = sorted(rank[boundary:last])
-        left = sorted(rank[first:boundary])
+        if first >= held:
+            left = sorted(rank[first:boundary])
+        else:
+            # Delete the points that left the window, then add the regions
+            # that entered it: one point by insertion, more by one merge.
+            for r in rank[gone:first]:
+                del left[bisect_left(left, r)]
+            if boundary - held == 1:
+                insort(left, rank[held])
+            else:
+                left = sorted(left + rank[held:boundary])
+        gone, held = first, boundary
         # Only left points within the window of the right side's y range can
         # meet a right point.  Both sides are solved, so left points are
         # pairwise at least the window apart and only a few lie within the

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from hypothesis import strategies as st
 
@@ -23,6 +24,12 @@ def oracle_min_dist_sq(points):
 
 def point_set(coords):
     return PointSet(Point(x, y) for x, y in coords)
+
+
+def tiny_x_coords(n, seed=5):
+    """``x = random() * 1e-9, y = k``: every point stays in the window while x and y orders disagree."""
+    rng = random.Random(seed)
+    return [(rng.random() * 1e-9, float(k)) for k in range(n)]
 
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)

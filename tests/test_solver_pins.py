@@ -14,14 +14,18 @@ the 72 rows, only in ``dc_used`` and the span sum, and none went up; every
 ``DEGENERATE_PINS`` covers the inputs of the benchmark's ``degenerate_mix``
 workload (two columns, a vertical line and a duplicate grid at n=512, shuffled
 and translated as its seed 1 does) at a = 2, 16 and n.  They were recorded
-before each line's strip was narrowed by galloping search.
+before each line's strip was narrowed by galloping search.  Its tiny-x row
+(``x = random() * 1e-9, y = k`` at n=512), which keeps every left point in
+the window while the x and y orders disagree, was recorded before each node
+carried its left side's y order from line to line.
 
 ``STRIP_WORK_PINS`` records, per solve, the total number of strip points
-handed to ``strip_scan`` and the number of scan calls, on uniform n=2048 and
-on the ``degenerate_mix`` inputs.  A y-band trimmed too loosely only adds
-points that meet nothing (span 0), which DCs, span sums and the differential
-digest cannot see; these counts can.  They were recorded before the strip
-became a list of y-ranks.
+handed to ``strip_scan`` and the number of scan calls, on uniform n=2048, on
+the ``degenerate_mix`` inputs and on the tiny-x input.  A y-band trimmed too
+loosely only adds points that meet nothing (span 0), which DCs, span sums and
+the differential digest cannot see; these counts can.  They were recorded
+before the strip became a list of y-ranks (the tiny-x row before the left
+side's y order was carried across lines).
 """
 
 import math
@@ -33,6 +37,8 @@ from closepair import solvers
 from closepair.experiments import gen_uniform_points
 from closepair.geometry import OpCounter, Point, PointSet
 from closepair.solvers import closest_pair_2way, closest_pair_kway
+
+from conftest import tiny_x_coords
 
 
 def _coords(n, seed):
@@ -81,6 +87,10 @@ def _degenerate_corpus(n=512, seed=1):
 
 
 DEGENERATE = _degenerate_corpus()
+
+
+# Drawn from its own generator, so the benchmark inputs above stay byte-identical.
+TINY_X = {"tiny x n=512": PointSet.from_coords(tiny_x_coords(512))}
 
 SOLVERS = {
     "2way": lambda ps, c: closest_pair_2way(ps, c),
@@ -214,16 +224,22 @@ DEGENERATE_PINS = {
         "kway a=16": (177, 483, "0x0.0p+0", 256, 0),
         "kway a=n": (177, 483, "0x0.0p+0", 1, 0),
     },
+    "tiny x n=512": {
+        "kway a=2": (66, 67, "0x1.0000000000000p+0", 444, 188),
+        "kway a=16": (66, 67, "0x1.0000000000000p+0", 307, 51),
+        "kway a=n": (66, 67, "0x1.0000000000000p+0", 9, 8),
+    },
 }
 
 
-STRIP_WORK = {"uniform n=2048 seed=8": gen_uniform_points(2048, 8), **DEGENERATE}
+STRIP_WORK = {"uniform n=2048 seed=8": gen_uniform_points(2048, 8), **DEGENERATE, **TINY_X}
 
 STRIP_WORK_PINS = {
     "uniform n=2048 seed=8": {"kway a=2": (5443, 807), "kway a=16": (2431, 742), "kway a=n": (29, 14)},
     "two columns n=512": {"kway a=2": (512, 1), "kway a=16": (519, 8), "kway a=n": (767, 256)},
     "vertical line n=512": {"kway a=2": (0, 0), "kway a=16": (0, 0), "kway a=n": (0, 0)},
     "duplicate grid n=512": {"kway a=2": (0, 0), "kway a=16": (0, 0), "kway a=n": (0, 0)},
+    "tiny x n=512": {"kway a=2": (3731, 217), "kway a=16": (5871, 227), "kway a=n": (17, 8)},
 }
 
 
@@ -233,10 +249,10 @@ def test_pinned_output(case, solver):
     assert pinned_row(solver, CORPUS[case]) == PINS[case][solver]
 
 
-@pytest.mark.parametrize("case", sorted(DEGENERATE))
+@pytest.mark.parametrize("case", sorted(DEGENERATE_PINS))
 @pytest.mark.parametrize("solver", ["kway a=2", "kway a=16", "kway a=n"])
 def test_pinned_benchmark_inputs(case, solver):
-    assert pinned_row(solver, DEGENERATE[case]) == DEGENERATE_PINS[case][solver]
+    assert pinned_row(solver, STRIP_WORK[case]) == DEGENERATE_PINS[case][solver]
 
 
 @pytest.mark.parametrize("case", sorted(STRIP_WORK))
@@ -280,6 +296,7 @@ def test_each_pair_evaluated_at_most_once(case, solver, monkeypatch):
 LEFTMOST_SWEEP = {
     **{name: ps for name, ps in CORPUS.items() if len(ps) >= 3},
     **DEGENERATE,
+    **TINY_X,
     "uniform n=2048 seed=8": STRIP_WORK["uniform n=2048 seed=8"],
 }
 

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import insort
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from closepair.solvers import (
     strip_scan,
 )
 
-from conftest import coord_pairs, dyadic_pairs, oracle_min_dist_sq, point_set
+from conftest import coord_pairs, dyadic_pairs, oracle_min_dist_sq, point_set, tiny_x_coords
 
 point_lists = st.lists(coord_pairs, min_size=2, max_size=24)
 
@@ -377,6 +378,55 @@ class TestStripWork:
             ps = point_set(self.FAMILIES[family](n))
             closest_pair_kway(ps, n if a == "n" else a, OpCounter())
             totals.append(received[0])
+        assert totals[1] <= 2.5 * totals[0]
+        assert totals[2] <= 2.5 * totals[1]
+
+
+class TestSortWork:
+    """Rank entries the core sorts or inserts grow about n log n on degenerate inputs.
+
+    Neither the DC meter nor the strip-point count sees the y order a line is
+    built from, so this counts it directly: every entry of every list that
+    ``sorted`` orders (the presort's two sorts included) and one per
+    ``insort``.  Re-sorting a line's whole in-window left side made these
+    counts grow 4x per doubling of n at a = n.  The sizes start at 512: at
+    n = 256 = 16**2 every node below the top at a = 16 is a plane sweep, about
+    one entry per point, so the step to 512, where nodes of 32 split into
+    two-point regions that merge, reads 3.1x with no quadratic term in it.
+
+    The pointer shift of a list insert or delete is not counted.  It is a
+    memmove of up to n pointers, quadratic in total but cheap per point: on a
+    2-vCPU VM with Python 3.11, tiny x at a = n takes about 110, 280 and
+    860 ms at n = 16,384, 32,768 and 65,536 (2.6x and 3.0x per doubling,
+    tending to 4x), where re-sorting each line took 1.4 s at n = 4,096.
+    """
+
+    FAMILIES = {**TestStripWork.FAMILIES, "tiny x": tiny_x_coords}
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("a", [16, "n"])
+    def test_sorted_entries_per_doubling(self, family, a, monkeypatch):
+        entries = [0]
+
+        def counting_sorted(iterable, **kwargs):
+            items = list(iterable)
+            entries[0] += len(items)
+            return sorted(items, **kwargs)
+
+        def counting_insort(seq, x):
+            entries[0] += 1
+            insort(seq, x)
+
+        # A module global shadows the builtin ``sorted`` inside the module; a
+        # core that does not import ``insort`` has no inserts to count.
+        monkeypatch.setattr(solvers, "sorted", counting_sorted, raising=False)
+        monkeypatch.setattr(solvers, "insort", counting_insort, raising=False)
+        totals = []
+        for n in (512, 1024, 2048):
+            entries[0] = 0
+            ps = point_set(self.FAMILIES[family](n))
+            closest_pair_kway(ps, n if a == "n" else a, OpCounter())
+            totals.append(entries[0])
         assert totals[1] <= 2.5 * totals[0]
         assert totals[2] <= 2.5 * totals[1]
 

@@ -4,9 +4,13 @@ Usage: python3 tools/differential.py <src> <out>
 
 Imports ``closepair`` from the source directory <src>, solves 4,000 inputs
 drawn from ``random.Random(0xD1FF)`` (n from 2 to 40; uniform, duplicate,
-repeated-x, signed-zero, small-grid, two-column and vertical-line styles)
-with ``closest_pair_2way`` and with ``closest_pair_kway`` at every a in
-2..n+2, and writes one row per solve to <out>:
+repeated-x, signed-zero, small-grid, two-column and vertical-line styles),
+then 600 tiny-x inputs drawn from ``random.Random(0x717E)`` (n from 2 to 60;
+``y = k`` and ``x = random() * w`` with w = 1e-9, 1 or n, so that left
+points stay in the window, leave it slowly or leave it fast while the x and
+y orders disagree), with ``closest_pair_2way`` and with
+``closest_pair_kway`` at every a in 2..n+2, and writes one row per solve to
+<out>:
 ``(i, j, dist_sq.hex(), dc_used, nonzero scan spans in order)``.  It prints
 the row count, the number of solves whose distance differs from
 ``brute_force``, and the sha256 of <out>.  Two source trees that evaluate the
@@ -39,6 +43,17 @@ def make_coords(rnd, style, n):
     return [(0.5, rnd.random()) for _ in range(n)]
 
 
+def corpus():
+    rnd = random.Random(0xD1FF)
+    for case in range(4000):
+        yield make_coords(rnd, STYLES[case % len(STYLES)], rnd.randint(2, 40))
+    rnd = random.Random(0x717E)
+    for _ in range(600):
+        n = rnd.randint(2, 60)
+        width = rnd.choice((1e-9, 1.0, float(n)))
+        yield [(rnd.random() * width, float(k)) for k in range(n)]
+
+
 def main(argv):
     if len(argv) != 3:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -47,14 +62,12 @@ def main(argv):
     from closepair.geometry import OpCounter, PointSet
     from closepair.solvers import brute_force, closest_pair_2way, closest_pair_kway
 
-    rnd = random.Random(0xD1FF)
     rows = 0
     mismatches = 0
     with open(argv[2], "w") as out:
-        for case in range(4000):
-            style = STYLES[case % len(STYLES)]
-            n = rnd.randint(2, 40)
-            ps = PointSet.from_coords(make_coords(rnd, style, n))
+        for case, coords in enumerate(corpus()):
+            ps = PointSet.from_coords(coords)
+            n = len(ps)
             expected = brute_force(ps, OpCounter()).dist_sq
             runs = [("2way", lambda c: closest_pair_2way(ps, c))]
             runs += [(f"a={a}", lambda c, a=a: closest_pair_kway(ps, a, c)) for a in range(2, n + 3)]
