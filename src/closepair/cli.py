@@ -150,7 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (same output bytes)")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="trial chunks, on at most one process per CPU (same output bytes)"
+    )
     p.set_defaults(func=_cmd_trials)
 
     p = sub.add_parser("model", help="analytic worst-case cost table")

@@ -8,6 +8,7 @@ tallies which parameter won.
 """
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
 
 from .errors import ClosepairError, EmptySweep, InsufficientPoints, InvalidPartition
@@ -102,8 +103,9 @@ def run_trials(n: int, trials: int, base_seed: int, jobs: int = 1) -> TrialHisto
     """Tally the argmin parameter over ``trials`` independently seeded sweeps.
 
     Trial t uses seed splitmix64_mix(base_seed + t), so the tally does not
-    depend on execution order: with jobs > 1 the trial range is split across
-    processes and the partial histograms merged by addition, byte-identical
+    depend on execution order: with jobs > 1 the trial range is split into
+    min(jobs, trials) chunks, run on a pool of at most ``os.cpu_count()``
+    processes, and the partial histograms merged by addition, byte-identical
     to the sequential run.
     """
     if n < 2:
@@ -118,7 +120,10 @@ def run_trials(n: int, trials: int, base_seed: int, jobs: int = 1) -> TrialHisto
     if jobs == 1:
         partials = [_trial_chunk(chunks[0])]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # A forking pool starts all its workers at the first submit, so more
+        # workers than CPUs would only start processes that wait their turn.
+        workers = min(jobs, os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_trial_chunk, chunks))
     wins = {a: 0 for a in range(2, n + 1)}
     for partial in partials:

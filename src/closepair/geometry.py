@@ -72,10 +72,7 @@ class OpCounter:
     solvers scan only pairs across a line whose two sides are both already
     solved, the premise of the classical bound of 7 successors per point
     (Preparata & Shamos 1985, section 5.4).  It does not affect counting.
-    Each span is logged as the scan merge-walks a line's two runs of
-    y-ranks.  Left points that lie a window or more outside the y range of
-    the line's right side are trimmed off by bisection before the scan and
-    log no span; they would log 0, so span sums and maxima are unchanged.
+    ``solvers.strip_scan`` logs the spans and says which strip points do.
     """
 
     dc: int = 0

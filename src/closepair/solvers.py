@@ -142,18 +142,20 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     per line.
 
     Each line's strip is a list of y-ranks, found so that a line costs about
-    what can cross it.  The in-window run left of the line only loses points
-    from its left end as the sweep moves right, so each line resumes from the
-    previous line's first in-window point: it is kept when it is still in the
-    window, and otherwise a galloping search from the line finds the new
-    first point.  The run's y order is carried from line to line: points that
-    left the window are deleted from it, and the region that entered is
-    inserted (one point) or merged in (more), so it is sorted afresh only
-    when every carried point has left.  A bisection and a few bounded steps
-    from each end of region t+1's y range then keep the left points within
-    the window of that range.  Left points a window or more below or above
-    that range are not passed to ``strip_scan`` and log no span; they would
-    meet nothing, so pairs, DC counts and span sums and maxima are unchanged.
+    what can cross it.  A walk right from the line finds region t+1's
+    in-window points; a line with none is skipped, as the window is
+    symmetric about the line.  The in-window run left of the line only loses
+    points from its left end as the sweep moves right, and its y order is
+    carried from line to line: the left edge walks forward past carried
+    points that have left the window, which are deleted, and the region that
+    entered is inserted (one point) or merged in (more).  Only when every
+    carried point has left is the run found by walking back from the line
+    and sorted afresh.  Every step of either walk is paid for: a forward step
+    passes a point that was inserted once, and a backward step is one entry
+    of the fresh sort.  A bisection and a few bounded steps from each end of
+    region t+1's y range then keep the left points within the window of that
+    range; the rest meet nothing and are not passed to ``strip_scan``, whose
+    docstring says what that means for the logged spans.
     Raises ``DistanceOverflow`` when even the closest squared distance is inf.
     """
     n = len(point_set)
@@ -233,47 +235,31 @@ def _solve(xs, rank, ypts, yidx, lo, hi, a, counter):
     # the window is scanned there and nowhere else.  The line only moves right
     # and the window only shrinks, so a left point out of the window stays
     # out: ``first``, the first in-window position, never moves left, and
-    # ``left`` carries the y-ranks of positions [gone, held) from line to line.
-    first = gone = held = lo
+    # ``left`` carries the y-ranks of positions [first, held) from line to line.
+    first = held = lo
     for boundary, end in zip(stops, stops[1:]):
         x_line = dividing_x(xs, boundary)
         window = state.dist_sq
-        dx = xs[first] - x_line
-        if dx * dx >= window:
-            # In-window points are contiguous in x order and end at the
-            # boundary: gallop out from it, doubling the step while the probe
-            # is in the window, then halve the step back down onto the first
-            # in-window point, never reaching the previous line's first.
-            floor = first + 1
-            first = boundary
-            step = 1
-            while first - step >= floor:
-                dx = xs[first - step] - x_line
-                if dx * dx >= window:
-                    break
-                first -= step
-                step += step
-            while step > 1:
-                step >>= 1
-                if first - step >= floor:
-                    dx = xs[first - step] - x_line
-                    if dx * dx < window:
-                        first -= step
-        if first == boundary:
-            continue
         last = boundary
         while last < end:
             dx = xs[last] - x_line
-            if dx * dx < window:
-                last += 1
-            else:
+            if dx * dx >= window:
                 break
+            last += 1
+        # The window is symmetric about the line, so with no right point in it
+        # the left side is empty too, up to rounding: nothing can cross.
         if last == boundary:
             continue
         right = sorted(rank[boundary:last])
-        if first >= held:
-            left = sorted(rank[first:boundary])
-        else:
+        # Walk the left edge past carried points that left the window: each
+        # step passes a point that was inserted once.
+        gone = first
+        while first < held:
+            dx = xs[first] - x_line
+            if dx * dx < window:
+                break
+            first += 1
+        if first < held:
             # Delete the points that left the window, then add the regions
             # that entered it: one point by insertion, more by one merge.
             for r in rank[gone:first]:
@@ -282,7 +268,21 @@ def _solve(xs, rank, ypts, yidx, lo, hi, a, counter):
                 insort(left, rank[held])
             else:
                 left = sorted(left + rank[held:boundary])
-        gone, held = first, boundary
+        else:
+            # Every carried point has left.  If position ``held`` has too,
+            # walk back from the boundary, where the contiguous in-window run
+            # ends; the walk stops above ``held``, and each step is one entry
+            # of the fresh sort.
+            dx = xs[held] - x_line
+            if dx * dx >= window:
+                first = boundary
+                while True:
+                    dx = xs[first - 1] - x_line
+                    if dx * dx >= window:
+                        break
+                    first -= 1
+            left = sorted(rank[first:boundary])
+        held = boundary
         # Only left points within the window of the right side's y range can
         # meet a right point.  Both sides are solved, so left points are
         # pairwise at least the window apart and only a few lie within the

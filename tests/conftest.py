@@ -32,6 +32,11 @@ def tiny_x_coords(n, seed=5):
     return [(rng.random() * 1e-9, float(k)) for k in range(n)]
 
 
+def sliding_window_coords(n):
+    """``x = k / 64, y = (37 k) mod n``: about 100 in-window left points, one leaving per line."""
+    return [(k / 64, float((37 * k) % n)) for k in range(n)]
+
+
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 coord_pairs = st.tuples(finite_coord, finite_coord)

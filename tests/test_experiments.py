@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closepair import experiments
 from closepair.errors import ClosepairError, EmptySweep, InsufficientPoints, InvalidPartition
 from closepair.experiments import (
     SweepRecord,
@@ -145,6 +146,33 @@ class TestRunTrials:
         a[first] -= 1
         b[last] -= 1
         assert a == b
+
+    @pytest.mark.parametrize("cpus,workers", [(2, 2), (None, 1)])
+    def test_pool_is_capped_at_cpu_count(self, cpus, workers, monkeypatch):
+        # An in-process stand-in for the pool: no process is started, however
+        # many jobs are asked for.
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                chunks = list(chunks)
+                made.append(len(chunks))
+                return map(fn, chunks)
+
+        monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        hist = run_trials(3, 5000, 9, jobs=5000)
+        assert made == [workers, 5000]
+        assert hist == run_trials(3, 5000, 9, jobs=1)
 
     @pytest.mark.parametrize("n,trials,jobs", [(1, 5, 1), (5, 0, 1), (5, 5, 0)])
     def test_argument_errors(self, n, trials, jobs):

@@ -17,15 +17,19 @@ and translated as its seed 1 does) at a = 2, 16 and n.  They were recorded
 before each line's strip was narrowed by galloping search.  Its tiny-x row
 (``x = random() * 1e-9, y = k`` at n=512), which keeps every left point in
 the window while the x and y orders disagree, was recorded before each node
-carried its left side's y order from line to line.
+carried its left side's y order from line to line.  Its sliding-window row
+(``x = k / 64, y = (37 k) mod n`` at n=512), where about 100 left points are
+in the window at each line and one leaves per line, was recorded before the
+x-window's ends were found by walking instead of galloping search.
 
 ``STRIP_WORK_PINS`` records, per solve, the total number of strip points
 handed to ``strip_scan`` and the number of scan calls, on uniform n=2048, on
-the ``degenerate_mix`` inputs and on the tiny-x input.  A y-band trimmed too
-loosely only adds points that meet nothing (span 0), which DCs, span sums and
-the differential digest cannot see; these counts can.  They were recorded
-before the strip became a list of y-ranks (the tiny-x row before the left
-side's y order was carried across lines).
+the ``degenerate_mix`` inputs and on the tiny-x and sliding-window inputs.  A
+y-band trimmed too loosely only adds points that meet nothing (span 0), which
+DCs, span sums and the differential digest cannot see; these counts can.
+They were recorded before the strip became a list of y-ranks (the tiny-x row
+before the left side's y order was carried across lines, the sliding-window
+row before the x-window was found by walking).
 """
 
 import math
@@ -38,7 +42,7 @@ from closepair.experiments import gen_uniform_points
 from closepair.geometry import OpCounter, Point, PointSet
 from closepair.solvers import closest_pair_2way, closest_pair_kway
 
-from conftest import tiny_x_coords
+from conftest import sliding_window_coords, tiny_x_coords
 
 
 def _coords(n, seed):
@@ -91,6 +95,7 @@ DEGENERATE = _degenerate_corpus()
 
 # Drawn from its own generator, so the benchmark inputs above stay byte-identical.
 TINY_X = {"tiny x n=512": PointSet.from_coords(tiny_x_coords(512))}
+SLIDING_WINDOW = {"sliding window n=512": PointSet.from_coords(sliding_window_coords(512))}
 
 SOLVERS = {
     "2way": lambda ps, c: closest_pair_2way(ps, c),
@@ -229,10 +234,15 @@ DEGENERATE_PINS = {
         "kway a=16": (66, 67, "0x1.0000000000000p+0", 307, 51),
         "kway a=n": (66, 67, "0x1.0000000000000p+0", 9, 8),
     },
+    "sliding window n=512": {
+        "kway a=2": (14, 97, "0x1.5748000000000p+1", 1303, 1047),
+        "kway a=16": (1, 84, "0x1.5748000000000p+1", 1088, 832),
+        "kway a=n": (1, 84, "0x1.5748000000000p+1", 512, 511),
+    },
 }
 
 
-STRIP_WORK = {"uniform n=2048 seed=8": gen_uniform_points(2048, 8), **DEGENERATE, **TINY_X}
+STRIP_WORK = {"uniform n=2048 seed=8": gen_uniform_points(2048, 8), **DEGENERATE, **TINY_X, **SLIDING_WINDOW}
 
 STRIP_WORK_PINS = {
     "uniform n=2048 seed=8": {"kway a=2": (5443, 807), "kway a=16": (2431, 742), "kway a=n": (29, 14)},
@@ -240,6 +250,7 @@ STRIP_WORK_PINS = {
     "vertical line n=512": {"kway a=2": (0, 0), "kway a=16": (0, 0), "kway a=n": (0, 0)},
     "duplicate grid n=512": {"kway a=2": (0, 0), "kway a=16": (0, 0), "kway a=n": (0, 0)},
     "tiny x n=512": {"kway a=2": (3731, 217), "kway a=16": (5871, 227), "kway a=n": (17, 8)},
+    "sliding window n=512": {"kway a=2": (3295, 241), "kway a=16": (3002, 250), "kway a=n": (1022, 510)},
 }
 
 
@@ -297,6 +308,7 @@ LEFTMOST_SWEEP = {
     **{name: ps for name, ps in CORPUS.items() if len(ps) >= 3},
     **DEGENERATE,
     **TINY_X,
+    **SLIDING_WINDOW,
     "uniform n=2048 seed=8": STRIP_WORK["uniform n=2048 seed=8"],
 }
 

@@ -20,7 +20,14 @@ from closepair.solvers import (
     strip_scan,
 )
 
-from conftest import coord_pairs, dyadic_pairs, oracle_min_dist_sq, point_set, tiny_x_coords
+from conftest import (
+    coord_pairs,
+    dyadic_pairs,
+    oracle_min_dist_sq,
+    point_set,
+    sliding_window_coords,
+    tiny_x_coords,
+)
 
 point_lists = st.lists(coord_pairs, min_size=2, max_size=24)
 
@@ -359,6 +366,7 @@ class TestStripWork:
     FAMILIES = {
         "vertical line": lambda n: [(0.0, float(k)) for k in range(n)],
         "two columns": lambda n: [(float(k % 2), float(k)) for k in range(n)],
+        "sliding window": sliding_window_coords,
     }
 
     @pytest.mark.parametrize("family", list(FAMILIES))

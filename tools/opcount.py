@@ -1,0 +1,101 @@
+"""Bytecode operations the solver core executes on a fixed set of cases.
+
+Usage: python3 tools/opcount.py <src>
+
+Imports ``closepair`` from the source directory <src>, runs each case below
+under ``sys.settrace`` with per-opcode events, and prints one line per case:
+its name and the number of opcodes executed in frames of ``solvers.py`` and
+``geometry.py`` (builtins such as ``sorted`` count as the one call opcode that
+invokes them).  The last line is the total.  Counts depend only on the code
+and the Python version, not on the machine's load, so two source trees can
+be compared case by case where wall time is too noisy to tell.
+
+Cases: five n=50 sweeps (seeds 1 to 5, a = 2..50); uniform n=2,048 (seed 8)
+at a = 2, 16 and n; and the n=512 degenerate inputs at a = 2, 16 and n: the
+three of the benchmark's ``degenerate_mix`` (two columns, vertical line,
+duplicate grid, shuffled and translated by ``random.Random(1)``), tiny x
+(``x = random() * 1e-9, y = k``, ``random.Random(5)``) and sliding window
+(``x = k / 64, y = (37 k) mod n``).  Standard library only; exits 2 on a
+usage error.
+"""
+
+import math
+import random
+import sys
+
+COUNTED = ("solvers.py", "geometry.py")
+
+
+def degenerate(n=512):
+    side = max(2, math.isqrt(n // 2))
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    families = {
+        "two columns": [(k % 2, k) for k in range(n)],
+        "vertical line": [(0, k) for k in range(n)],
+        "duplicate grid": [cells[k % len(cells)] for k in range(n)],
+    }
+    rng = random.Random(1)
+    out = {}
+    for name, coords in families.items():
+        rng.shuffle(coords)
+        ox, oy = rng.randint(-1000, 1000), rng.randint(-1000, 1000)
+        out[name] = [(x + ox, y + oy) for x, y in coords]
+    rng = random.Random(5)
+    out["tiny x"] = [(rng.random() * 1e-9, float(k)) for k in range(n)]
+    out["sliding window"] = [(k / 64, float((37 * k) % n)) for k in range(n)]
+    return out
+
+
+def count(run):
+    """Opcodes executed in the counted files while ``run()`` runs."""
+    ops = [0]
+
+    def local(frame, event, arg):
+        if event == "opcode":
+            ops[0] += 1
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code.co_filename.endswith(COUNTED):
+            frame.f_trace_opcodes = True
+            return local
+        return None
+
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return ops[0]
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    sys.path.insert(0, argv[1])
+    from closepair.experiments import gen_uniform_points, run_sweep
+    from closepair.geometry import OpCounter, PointSet
+    from closepair.solvers import closest_pair_kway
+
+    def solve(coords, a):
+        # A fresh set per case, so every solve counts its own presort.
+        ps = PointSet.from_coords(coords)
+        return lambda: closest_pair_kway(ps, a, OpCounter())
+
+    cases = [("sweeps n=50 seeds 1-5", lambda: [run_sweep(50, seed, 2, 50) for seed in range(1, 6)])]
+    uniform = [(p.x, p.y) for p in gen_uniform_points(2048, 8)]
+    cases += [(f"uniform n=2048 a={a}", solve(uniform, a)) for a in (2, 16, 2048)]
+    for name, coords in degenerate().items():
+        cases += [(f"{name} n=512 a={a}", solve(coords, a)) for a in (2, 16, 512)]
+    total = 0
+    for name, run in cases:
+        ops = count(run)
+        total += ops
+        print(f"{name:32} {ops:>10,}")
+    print(f"{'total':32} {total:>10,}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
