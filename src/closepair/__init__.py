@@ -14,13 +14,7 @@ from .experiments import (
     splitmix64_stream,
 )
 from .geometry import ClosestPairResult, OpCounter, Point, PointSet, final_distance, squared_distance
-from .solvers import (
-    MergeState,
-    balanced_partition,
-    brute_force,
-    closest_pair_2way,
-    closest_pair_kway,
-)
+from .solvers import balanced_partition, brute_force, closest_pair_2way, closest_pair_kway
 
 __all__ = [
     "ClosepairError",
@@ -30,7 +24,6 @@ __all__ = [
     "EmptySweep",
     "InsufficientPoints",
     "InvalidPartition",
-    "MergeState",
     "OpCounter",
     "Point",
     "PointSet",

@@ -105,8 +105,8 @@ def run_trials(n: int, trials: int, base_seed: int, jobs: int = 1) -> TrialHisto
     Trial t uses seed splitmix64_mix(base_seed + t), so the tally does not
     depend on execution order: with jobs > 1 the trial range is split into
     min(jobs, trials) chunks, run on a pool of at most ``os.cpu_count()``
-    processes, and the partial histograms merged by addition, byte-identical
-    to the sequential run.
+    processes (in this process when that is one), and the partial histograms
+    merged by addition, byte-identical to the sequential run.
     """
     if n < 2:
         raise InsufficientPoints(f"need at least 2 points, got {n}")
@@ -117,12 +117,13 @@ def run_trials(n: int, trials: int, base_seed: int, jobs: int = 1) -> TrialHisto
     jobs = min(jobs, trials)
     bounds = [trials * k // jobs for k in range(jobs + 1)]
     chunks = [(n, base_seed, bounds[k], bounds[k + 1]) for k in range(jobs)]
-    if jobs == 1:
-        partials = [_trial_chunk(chunks[0])]
+    # A forking pool starts all its workers at the first submit, so more
+    # workers than CPUs would only start processes that wait their turn, and
+    # one worker would only run the chunks in turn, as this process does.
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
+        partials = [_trial_chunk(chunk) for chunk in chunks]
     else:
-        # A forking pool starts all its workers at the first submit, so more
-        # workers than CPUs would only start processes that wait their turn.
-        workers = min(jobs, os.cpu_count() or 1)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_trial_chunk, chunks))
     wins = {a: 0 for a in range(2, n + 1)}

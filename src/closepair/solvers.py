@@ -9,28 +9,9 @@ the others are tested against.
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 
 from .errors import DistanceOverflow, InsufficientPoints, InvalidPartition
 from .geometry import ClosestPairResult, OpCounter, PointSet, squared_distance
-
-
-@dataclass(slots=True)
-class MergeState:
-    """Running minimum over all pairs evaluated so far; empty until the first offer."""
-
-    i: int = -1
-    j: int = -1
-    dist_sq: float | None = None
-
-    def offer(self, d: float, i: int, j: int) -> None:
-        """Fold in one evaluated pair; strictly closer pairs win, first found keeps ties."""
-        if self.dist_sq is None or d < self.dist_sq:
-            if i > j:
-                i, j = j, i
-            self.i = i
-            self.j = j
-            self.dist_sq = d
 
 
 def brute_force(point_set: PointSet, counter: OpCounter) -> ClosestPairResult:
@@ -43,37 +24,43 @@ def brute_force(point_set: PointSet, counter: OpCounter) -> ClosestPairResult:
         raise InsufficientPoints(f"need at least 2 points, got {n}")
     start = counter.dc
     pts = point_set.points
-    state = MergeState()
+    best, bi, bj = math.inf, -1, -1
     for i in range(n - 1):
         pi = pts[i]
         for j in range(i + 1, n):
-            state.offer(squared_distance(pi, pts[j], counter), i, j)
-    return _result(state, counter.dc - start)
+            d = squared_distance(pi, pts[j], counter)
+            if d < best:
+                best, bi, bj = d, i, j
+    return _result((best, bi, bj), counter.dc - start)
 
 
-def _result(state: MergeState, dc_used: int) -> ClosestPairResult:
-    # Once the minimum is inf every pair ties at inf, so the pair that won
-    # says nothing about the input: refuse to report one.
-    if state.dist_sq == math.inf:
+def _result(best: tuple, dc_used: int) -> ClosestPairResult:
+    # ``best`` is the running minimum (dist_sq, i, j), its pair in either
+    # index order.  It starts at (inf, -1, -1) and only a strictly closer
+    # pair replaces it, so an inf minimum means every pair overflowed: the
+    # start was never replaced, and there is no pair to report.
+    dist_sq, i, j = best
+    if dist_sq == math.inf:
         raise DistanceOverflow(
             "every squared distance overflows to inf: the closest pair is about 1.3e154 or more apart"
         )
-    return ClosestPairResult(state.i, state.j, state.dist_sq, dc_used)
+    return ClosestPairResult(min(i, j), max(i, j), dist_sq, dc_used)
 
 
-def strip_scan(strip, split: int, ypts, yidx, state: MergeState, counter: OpCounter) -> MergeState:
-    """Merge-walk the two sides of a dividing line, folding cross pairs into the running minimum.
+def strip_scan(strip, split: int, ypts, yidx, best: tuple, counter: OpCounter) -> tuple:
+    """Merge-walk the two sides of a dividing line; return ``best`` folded with its cross pairs.
 
-    ``state`` must already hold a minimum, as the k-way sweep's always does:
-    it starts from the leftmost region's.  ``strip[:split]`` and
-    ``strip[split:]`` are the left and right sides, each a run of ascending
-    y-ranks: rank ``r`` names the point ``ypts[r]`` with original index
-    ``yidx[r]``, and rank order is (y, original index) order.  The two runs
-    are merge-walked so that only pairs with one point on each side are
-    compared: each point meets the other side's points that follow it in
-    rank order while the squared y-gap is below the current best.  Every
-    comparison costs one DC, and improvements take effect immediately,
-    tightening the window for the rest of the scan.
+    ``best`` is the running minimum ``(dist_sq, i, j)``, its pair in either
+    index order.  ``strip[:split]`` and ``strip[split:]`` are the left and
+    right sides, each a run of ascending y-ranks: rank ``r`` names the point
+    ``ypts[r]`` with original index ``yidx[r]``, and rank order is (y,
+    original index) order.  The two runs are merge-walked so that only pairs
+    with one point on each side are compared: each point meets the other
+    side's points that follow it in rank order while the squared y-gap is
+    below the running minimum.  Every comparison costs one DC, and only a
+    strictly closer pair replaces the minimum, so ties keep the first pair
+    found; improvements take effect immediately, tightening the window for
+    the rest of the scan.
 
     When ``counter.scan_spans`` is a list, each strip point appends the
     number of successors it was compared against.  The k-way core passes
@@ -82,7 +69,7 @@ def strip_scan(strip, split: int, ypts, yidx, state: MergeState, counter: OpCoun
     so span sums and maxima are the same as over the whole in-window strip.
     """
     spans = counter.scan_spans
-    best = state.dist_sq
+    window = best[0]
     m = len(strip)
     i = 0
     j = split
@@ -105,20 +92,20 @@ def strip_scan(strip, split: int, ypts, yidx, state: MergeState, counter: OpCoun
             s = strip[k]
             q = ypts[s]
             dy = q.y - y
-            if dy * dy >= best:
+            if dy * dy >= window:
                 break
             span += 1
             d = squared_distance(p, q, counter)
-            if d < best:
-                state.offer(d, op, yidx[s])
-                best = d
+            if d < window:
+                window = d
+                best = (d, op, yidx[s])
             k += 1
         if spans is not None:
             spans.append(span)
     if spans is not None:
         # the rest of the longer run has no successor on the other side
         spans.extend([0] * (m - i - j + split))
-    return state
+    return best
 
 
 def closest_pair_2way(point_set: PointSet, counter: OpCounter) -> ClosestPairResult:
@@ -131,15 +118,16 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
 
     Splits into min(a, n - 1) balanced regions, recurses into regions of two
     or more points with the same ``a``, then sweeps the dividing lines left
-    to right sharing one running minimum, which starts as the leftmost
-    region's: that region always holds two or more points.  Line t's strip
-    pairs the in-window points of regions 1..t, which the earlier lines have
-    merged, with those of region t+1, which the recursion has solved; only
-    pairs across the line cost a DC.  No pair is evaluated twice, so a solve
-    spends at most n(n-1)/2 DCs, and both sides of every strip are separated
-    by at least the window.  The paper's n parts (a = n) and any larger ``a``
-    give the n - 1 regions of a plane sweep: a leftmost pair, then one point
-    per line.
+    to right sharing one running minimum, the value ``(dist_sq, i, j)``,
+    which starts as the leftmost region's: that region always holds two or
+    more points.  The pair is put in index order once, when the result is
+    reported.  Line t's strip pairs the in-window points of regions 1..t,
+    which the earlier lines have merged, with those of region t+1, which the
+    recursion has solved; only pairs across the line cost a DC.  No pair is
+    evaluated twice, so a solve spends at most n(n-1)/2 DCs, and both sides
+    of every strip are separated by at least the window.  The paper's n
+    parts (a = n) and any larger ``a`` give the n - 1 regions of a plane
+    sweep: a leftmost pair, then one point per line.
 
     Each line's strip is a list of y-ranks, found so that a line costs about
     what can cross it.  A walk right from the line finds region t+1's
@@ -164,8 +152,8 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     if a < 2:
         raise InvalidPartition(f"partition parameter must be >= 2, got {a}")
     start = counter.dc
-    state = _solve(*_presort(point_set), 0, n, a, counter)
-    return _result(state, counter.dc - start)
+    best = _solve(*_presort(point_set), 0, n, a, counter)
+    return _result(best, counter.dc - start)
 
 
 def balanced_partition(lo: int, hi: int, regions: int) -> list:
@@ -213,23 +201,26 @@ def _presort(point_set):
 def _solve(xs, rank, ypts, yidx, lo, hi, a, counter):
     m = hi - lo
     if m <= 3:
-        state = MergeState()
+        best = (math.inf, -1, -1)
         for i in range(lo, hi - 1):
             r = rank[i]
             for j in range(i + 1, hi):
                 s = rank[j]
-                state.offer(squared_distance(ypts[r], ypts[s], counter), yidx[r], yidx[s])
-        return state
+                d = squared_distance(ypts[r], ypts[s], counter)
+                if d < best[0]:
+                    best = (d, yidx[r], yidx[s])
+        return best
     # At most m - 1 regions, the extras going to the leftmost, so the
     # leftmost region holds two or more points: its solved minimum is the
     # running minimum the sweep starts from, as a plane sweep starts from its
     # first two points.
     stops = balanced_partition(lo, hi, min(a, m - 1))
-    state = _solve(xs, rank, ypts, yidx, lo, stops[0], a, counter)
+    best = _solve(xs, rank, ypts, yidx, lo, stops[0], a, counter)
     for start, stop in zip(stops, stops[1:]):
         if stop - start >= 2:
             sub = _solve(xs, rank, ypts, yidx, start, stop, a, counter)
-            state.offer(sub.dist_sq, sub.i, sub.j)
+            if sub[0] < best[0]:
+                best = sub
     # A pair with points in regions s < r is a cross pair at line r-1 only,
     # where both points lie within d(p, q) of the line: a pair closer than
     # the window is scanned there and nowhere else.  The line only moves right
@@ -239,7 +230,7 @@ def _solve(xs, rank, ypts, yidx, lo, hi, a, counter):
     first = held = lo
     for boundary, end in zip(stops, stops[1:]):
         x_line = dividing_x(xs, boundary)
-        window = state.dist_sq
+        window = best[0]
         last = boundary
         while last < end:
             dx = xs[last] - x_line
@@ -291,16 +282,16 @@ def _solve(xs, rank, ypts, yidx, lo, hi, a, counter):
         keep = bisect_left(left, right[0])
         while keep:
             dy = low - ypts[left[keep - 1]].y
-            if dy > 0 and dy * dy >= window:
+            if dy * dy >= window:
                 break
             keep -= 1
         high = ypts[right[-1]].y
         stop = bisect_left(left, right[-1], keep)
         while stop < len(left):
             dy = ypts[left[stop]].y - high
-            if dy > 0 and dy * dy >= window:
+            if dy * dy >= window:
                 break
             stop += 1
         if keep < stop:
-            strip_scan(left[keep:stop] + right, stop - keep, ypts, yidx, state, counter)
-    return state
+            best = strip_scan(left[keep:stop] + right, stop - keep, ypts, yidx, best, counter)
+    return best

@@ -147,10 +147,10 @@ class TestRunTrials:
         b[last] -= 1
         assert a == b
 
-    @pytest.mark.parametrize("cpus,workers", [(2, 2), (None, 1)])
+    @pytest.mark.parametrize("cpus,workers", [(2, 2), (None, 1), (1, 1)])
     def test_pool_is_capped_at_cpu_count(self, cpus, workers, monkeypatch):
         # An in-process stand-in for the pool: no process is started, however
-        # many jobs are asked for.
+        # many jobs are asked for.  With one worker no pool is made at all.
         made = []
 
         class FakePool:
@@ -171,7 +171,7 @@ class TestRunTrials:
         monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         hist = run_trials(3, 5000, 9, jobs=5000)
-        assert made == [workers, 5000]
+        assert made == ([workers, 5000] if workers > 1 else [])
         assert hist == run_trials(3, 5000, 9, jobs=1)
 
     @pytest.mark.parametrize("n,trials,jobs", [(1, 5, 1), (5, 0, 1), (5, 5, 0)])

@@ -11,7 +11,6 @@ from closepair.errors import DistanceOverflow, InsufficientPoints, InvalidPartit
 from closepair.experiments import gen_uniform_points
 from closepair.geometry import OpCounter, Point, PointSet, squared_distance
 from closepair.solvers import (
-    MergeState,
     balanced_partition,
     brute_force,
     closest_pair_2way,
@@ -32,21 +31,6 @@ from conftest import (
 point_lists = st.lists(coord_pairs, min_size=2, max_size=24)
 
 
-class TestMergeState:
-    def test_starts_empty(self):
-        s = MergeState()
-        assert s.dist_sq is None
-
-    def test_offer_normalizes_and_keeps_first_on_tie(self):
-        s = MergeState()
-        s.offer(4.0, 9, 2)
-        assert (s.i, s.j, s.dist_sq) == (2, 9, 4.0)
-        s.offer(4.0, 0, 1)  # equal: first stays
-        assert (s.i, s.j) == (2, 9)
-        s.offer(3.0, 5, 4)  # strictly closer: replaces
-        assert (s.i, s.j, s.dist_sq) == (4, 5, 3.0)
-
-
 class TestBruteForce:
     def test_single_pair(self):
         r = brute_force(point_set([(0, 0), (3, 4)]), OpCounter())
@@ -59,6 +43,11 @@ class TestBruteForce:
     def test_duplicate_points(self):
         r = brute_force(point_set([(0, 0), (0, 0), (9, 9)]), OpCounter())
         assert (r.i, r.j, r.dist_sq, r.dc_used) == (0, 1, 0.0, 3)
+
+    def test_keeps_first_pair_in_input_order_on_tie(self):
+        # four pairs of the unit square's corners tie at 1; the first wins
+        r = brute_force(point_set([(0, 0), (1, 0), (1, 1), (0, 1)]), OpCounter())
+        assert (r.i, r.j, r.dist_sq) == (0, 1, 1.0)
 
     def test_matches_independent_recomputation(self):
         ps = gen_uniform_points(100, 20260811)
@@ -93,59 +82,56 @@ def _strip(ps, left, right):
 class TestStripScan:
     def test_candidate_inside_window(self):
         ps = point_set([(0, 0), (0.1, 0.1)])
-        state = MergeState(7, 8, 1.0)
         c = OpCounter()
-        strip_scan(*_strip(ps, [0], [1]), state, c)
-        assert state.dist_sq == squared_distance(ps[0], ps[1], OpCounter())
-        assert (state.i, state.j) == (0, 1)
+        best = strip_scan(*_strip(ps, [0], [1]), (1.0, 7, 8), c)
+        assert best[0] == squared_distance(ps[0], ps[1], OpCounter())
+        assert sorted(best[1:]) == [0, 1]
         assert c.dc == 1
 
     def test_window_exclusion_costs_nothing(self):
         ps = point_set([(0, 0), (0, 10)])
-        state = MergeState(7, 8, 1.0)
         c = OpCounter()
-        strip_scan(*_strip(ps, [0], [1]), state, c)
-        assert (state.i, state.j, state.dist_sq) == (7, 8, 1.0)
+        best = strip_scan(*_strip(ps, [0], [1]), (1.0, 7, 8), c)
+        assert best == (1.0, 7, 8)
         assert c.dc == 0
 
     def test_empty_state_matches_brute_force_over_strip(self):
-        # a state holding an infinite minimum excludes no finite gap, so the
-        # scan meets every cross pair and ends on their brute-force minimum
+        # an infinite minimum excludes no finite gap, so the scan meets every
+        # cross pair and ends on their brute-force minimum
         ps = gen_uniform_points(50, 424242)
         left = [k for k in range(50) if ps[k].x < 0.5]
         right = [k for k in range(50) if ps[k].x >= 0.5]
-        state = strip_scan(*_strip(ps, left, right), MergeState(-1, -1, math.inf), OpCounter())
+        d, i, j = strip_scan(*_strip(ps, left, right), (math.inf, -1, -1), OpCounter())
         best = min(squared_distance(ps[p], ps[q], OpCounter()) for p in left for q in right)
-        assert state.dist_sq == best
-        assert squared_distance(ps[state.i], ps[state.j], OpCounter()) == best
-        assert (state.i in left) != (state.j in left)
+        assert d == best
+        assert squared_distance(ps[i], ps[j], OpCounter()) == best
+        assert (i in left) != (j in left)
 
     def test_empty_strip_is_noop(self):
-        state = MergeState()
-        assert strip_scan([], 0, [], [], state, OpCounter()) is state
-        assert state.dist_sq is None
+        start = (math.inf, -1, -1)
+        assert strip_scan([], 0, [], [], start, OpCounter()) is start
 
     def test_single_point_strip_is_noop(self):
         for left, right in ([0], []), ([], [0]):
             c = OpCounter()
-            state = strip_scan(*_strip(point_set([(1, 1)]), left, right), MergeState(), c)
-            assert state.dist_sq is None and c.dc == 0
+            best = strip_scan(*_strip(point_set([(1, 1)]), left, right), (math.inf, -1, -1), c)
+            assert best == (math.inf, -1, -1) and c.dc == 0
 
     def test_split_compares_only_across_the_sides(self):
         # left run (0, 0), (0, 0.1); right run (0.05, 0.05): the two left
         # points are never compared with each other
         ps = point_set([(0, 0), (0, 0.1), (0.05, 0.05)])
         c = OpCounter(scan_spans=[])
-        state = strip_scan(*_strip(ps, [0, 1], [2]), MergeState(7, 8, 1.0), c)
+        best = strip_scan(*_strip(ps, [0, 1], [2]), (1.0, 7, 8), c)
         assert c.dc == 2
-        assert state.dist_sq == squared_distance(ps[0], ps[2], OpCounter())
-        assert (state.i, state.j) == (0, 2)
+        assert best[0] == squared_distance(ps[0], ps[2], OpCounter())
+        assert sorted(best[1:]) == [0, 2]
         assert len(c.scan_spans) == 3 and sum(c.scan_spans) == 2
 
     def test_records_spans_when_enabled(self):
         ps = point_set([(0, 0), (0.1, 0.1), (0, 9)])
         c = OpCounter(scan_spans=[])
-        strip_scan(*_strip(ps, [0, 2], [1]), MergeState(7, 8, 1.0), c)
+        strip_scan(*_strip(ps, [0, 2], [1]), (1.0, 7, 8), c)
         assert len(c.scan_spans) == 3
         assert sum(c.scan_spans) == c.dc == 1
 

@@ -12,10 +12,12 @@ y orders disagree), with ``closest_pair_2way`` and with
 ``closest_pair_kway`` at every a in 2..n+2, and writes one row per solve to
 <out>:
 ``(i, j, dist_sq.hex(), dc_used, nonzero scan spans in order)``.  It prints
-the row count, the number of solves whose distance differs from
-``brute_force``, and the sha256 of <out>.  Two source trees that evaluate the
-same pairs in the same order print the same digest.  Exits 1 when any solve
-mismatches brute force and 2 on a usage error.  Standard library only.
+the row count, the number of mismatches, and the sha256 of <out>.  A solve
+mismatches when its distance differs from ``brute_force``'s, when its pair
+is not ``0 <= i < j < n``, or when its pair's squared distance is not its
+distance.  Two source trees that evaluate the same pairs in the same order
+print the same digest.  Exits 1 on any mismatch and 2 on a usage error.
+Standard library only.
 """
 
 import hashlib
@@ -59,7 +61,7 @@ def main(argv):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     sys.path.insert(0, argv[1])
-    from closepair.geometry import OpCounter, PointSet
+    from closepair.geometry import OpCounter, PointSet, squared_distance
     from closepair.solvers import brute_force, closest_pair_2way, closest_pair_kway
 
     rows = 0
@@ -75,7 +77,11 @@ def main(argv):
                 counter = OpCounter(scan_spans=[])
                 r = run(counter)
                 spans = [s for s in counter.scan_spans if s]
-                mismatches += r.dist_sq != expected
+                mismatches += (
+                    r.dist_sq != expected
+                    or not 0 <= r.i < r.j < n
+                    or squared_distance(ps[r.i], ps[r.j], OpCounter()) != r.dist_sq
+                )
                 rows += 1
                 out.write(f"{case} {label} {(r.i, r.j, r.dist_sq.hex(), r.dc_used, spans)}\n")
     with open(argv[2], "rb") as f:
