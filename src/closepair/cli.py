@@ -54,11 +54,9 @@ def parse_points_text(text: str) -> PointSet:
 def _cmd_solve(args) -> int:
     if args.algo == "kway":
         if args.a is None:
-            print("error: --a is required with --algo kway", file=sys.stderr)
-            return USAGE_ERROR
+            raise ClosepairError("--a is required with --algo kway")
     elif args.a is not None:
-        print(f"error: --a is only valid with --algo kway, not {args.algo}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ClosepairError(f"--a is only valid with --algo kway, not {args.algo}")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -151,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument(
-        "--jobs", type=int, default=1, help="trial chunks, on at most one process per CPU (same output bytes)"
+        "--jobs", type=int, default=1, help="max worker processes, at most one per CPU (same output bytes)"
     )
     p.set_defaults(func=_cmd_trials)
 

@@ -8,8 +8,11 @@ tallies which parameter won.
 """
 
 import concurrent.futures
+import math
 import os
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import ClosepairError, EmptySweep, InsufficientPoints, InvalidPartition
 from .geometry import OpCounter, Point, PointSet, final_distance
@@ -103,10 +106,10 @@ def run_trials(n: int, trials: int, base_seed: int, jobs: int = 1) -> TrialHisto
     """Tally the argmin parameter over ``trials`` independently seeded sweeps.
 
     Trial t uses seed splitmix64_mix(base_seed + t), so the tally does not
-    depend on execution order: with jobs > 1 the trial range is split into
-    min(jobs, trials) chunks, run on a pool of at most ``os.cpu_count()``
-    processes (in this process when that is one), and the partial histograms
-    merged by addition, byte-identical to the sequential run.
+    depend on execution order: the trials run on at most ``jobs`` worker
+    processes, and no more than ``trials`` or ``os.cpu_count()``, each given
+    one contiguous chunk of them; with one worker they run in this process.
+    The histogram is byte-identical to the sequential run.
     """
     if n < 2:
         raise InsufficientPoints(f"need at least 2 points, got {n}")
@@ -114,23 +117,15 @@ def run_trials(n: int, trials: int, base_seed: int, jobs: int = 1) -> TrialHisto
         raise ClosepairError(f"trial count must be >= 1, got {trials}")
     if jobs < 1:
         raise ClosepairError(f"job count must be >= 1, got {jobs}")
-    jobs = min(jobs, trials)
-    bounds = [trials * k // jobs for k in range(jobs + 1)]
-    chunks = [(n, base_seed, bounds[k], bounds[k + 1]) for k in range(jobs)]
-    # A forking pool starts all its workers at the first submit, so more
-    # workers than CPUs would only start processes that wait their turn, and
-    # one worker would only run the chunks in turn, as this process does.
-    workers = min(jobs, os.cpu_count() or 1)
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    seeds = (splitmix64_mix(base_seed + t) for t in range(trials))
     if workers == 1:
-        partials = [_trial_chunk(chunk) for chunk in chunks]
+        winners = map(_trial, repeat(n), seeds)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_trial_chunk, chunks))
-    wins = {a: 0 for a in range(2, n + 1)}
-    for partial in partials:
-        for a, count in partial.items():
-            wins[a] += count
-    return TrialHistogram(n, trials, wins)
+            winners = list(pool.map(_trial, repeat(n), seeds, chunksize=math.ceil(trials / workers)))
+    counts = Counter(winners)
+    return TrialHistogram(n, trials, {a: counts[a] for a in range(2, n + 1)})
 
 
 def growth_check(sizes, seed: int) -> list:
@@ -143,12 +138,6 @@ def growth_check(sizes, seed: int) -> list:
     return out
 
 
-def _trial_chunk(args):
-    """Argmin win counts for trials [t_lo, t_hi); absent keys mean zero wins."""
-    n, base_seed, t_lo, t_hi = args
-    wins = {}
-    for t in range(t_lo, t_hi):
-        seed_t = splitmix64_mix(base_seed + t)
-        a = argmin_partition(run_sweep(n, seed_t, 2, n))
-        wins[a] = wins.get(a, 0) + 1
-    return wins
+def _trial(n: int, seed: int) -> int:
+    """The winning a of one seeded sweep over a = 2..n."""
+    return argmin_partition(run_sweep(n, seed, 2, n))

@@ -47,17 +47,17 @@ def _result(best: tuple, dc_used: int) -> ClosestPairResult:
     return ClosestPairResult(min(i, j), max(i, j), dist_sq, dc_used)
 
 
-def strip_scan(strip, split: int, ypts, yidx, best: tuple, counter: OpCounter) -> tuple:
+def strip_scan(strip, split: int, ypts, best: tuple, counter: OpCounter) -> tuple:
     """Merge-walk the two sides of a dividing line; return ``best`` folded with its cross pairs.
 
-    ``best`` is the running minimum ``(dist_sq, i, j)``, its pair in either
-    index order.  ``strip[:split]`` and ``strip[split:]`` are the left and
-    right sides, each a run of ascending y-ranks: rank ``r`` names the point
-    ``ypts[r]`` with original index ``yidx[r]``, and rank order is (y,
-    original index) order.  The two runs are merge-walked so that only pairs
-    with one point on each side are compared: each point meets the other
-    side's points that follow it in rank order while the squared y-gap is
-    below the running minimum.  Every comparison costs one DC, and only a
+    ``strip[:split]`` and ``strip[split:]`` are the left and right sides,
+    each a run of ascending y-ranks: rank ``r`` names the point ``ypts[r]``,
+    and rank order is (y, original index) order.  ``best`` is the running
+    minimum ``(dist_sq, r, s)``, its pair as two y-ranks in either order;
+    the caller maps them to input indices.  The two runs are merge-walked
+    so that only pairs with one point on each side are compared: each point
+    meets the other side's points that follow it in rank order while the
+    squared y-gap is below the running minimum.  Every comparison costs one DC, and only a
     strictly closer pair replaces the minimum, so ties keep the first pair
     found; improvements take effect immediately, tightening the window for
     the rest of the scan.
@@ -85,23 +85,21 @@ def strip_scan(strip, split: int, ypts, yidx, best: tuple, counter: OpCounter) -
             i += 1
             k, end = j, m
         p = ypts[r]
-        op = yidx[r]
         y = p.y
-        span = 0
+        start = k
         while k < end:
             s = strip[k]
             q = ypts[s]
             dy = q.y - y
             if dy * dy >= window:
                 break
-            span += 1
             d = squared_distance(p, q, counter)
             if d < window:
                 window = d
-                best = (d, op, yidx[s])
+                best = (d, r, s)
             k += 1
         if spans is not None:
-            spans.append(span)
+            spans.append(k - start)
     if spans is not None:
         # the rest of the longer run has no successor on the other side
         spans.extend([0] * (m - i - j + split))
@@ -118,16 +116,17 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
 
     Splits into min(a, n - 1) balanced regions, recurses into regions of two
     or more points with the same ``a``, then sweeps the dividing lines left
-    to right sharing one running minimum, the value ``(dist_sq, i, j)``,
+    to right sharing one running minimum, the value ``(dist_sq, r, s)``,
     which starts as the leftmost region's: that region always holds two or
-    more points.  The pair is put in index order once, when the result is
-    reported.  Line t's strip pairs the in-window points of regions 1..t,
-    which the earlier lines have merged, with those of region t+1, which the
-    recursion has solved; only pairs across the line cost a DC.  No pair is
-    evaluated twice, so a solve spends at most n(n-1)/2 DCs, and both sides
-    of every strip are separated by at least the window.  The paper's n
-    parts (a = n) and any larger ``a`` give the n - 1 regions of a plane
-    sweep: a leftmost pair, then one point per line.
+    more points.  The core works in y-ranks throughout: the winning ranks
+    are mapped to input indices, and put in index order, once, when the
+    result is reported.  Line t's strip pairs the in-window points of
+    regions 1..t, which the earlier lines have merged, with those of region
+    t+1, which the recursion has solved; only pairs across the line cost a
+    DC.  No pair is evaluated twice, so a solve spends at most n(n-1)/2
+    DCs, and both sides of every strip are separated by at least the window.
+    The paper's n parts (a = n) and any larger ``a`` give the n - 1 regions
+    of a plane sweep: a leftmost pair, then one point per line.
 
     Each line's strip is a list of y-ranks, found so that a line costs about
     what can cross it.  A walk right from the line finds region t+1's
@@ -152,8 +151,11 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     if a < 2:
         raise InvalidPartition(f"partition parameter must be >= 2, got {a}")
     start = counter.dc
-    best = _solve(*_presort(point_set), 0, n, a, counter)
-    return _result(best, counter.dc - start)
+    xs, rank, ypts, yidx = _presort(point_set)
+    d, r, s = _solve(xs, rank, ypts, 0, n, a, counter)
+    # an inf minimum keeps its -1 ranks, and ``_result`` raises before
+    # their mapped indices could escape
+    return _result((d, yidx[r], yidx[s]), counter.dc - start)
 
 
 def balanced_partition(lo: int, hi: int, regions: int) -> list:
@@ -198,7 +200,7 @@ def _presort(point_set):
     return view
 
 
-def _solve(xs, rank, ypts, yidx, lo, hi, a, counter):
+def _solve(xs, rank, ypts, lo, hi, a, counter):
     m = hi - lo
     if m <= 3:
         best = (math.inf, -1, -1)
@@ -208,17 +210,17 @@ def _solve(xs, rank, ypts, yidx, lo, hi, a, counter):
                 s = rank[j]
                 d = squared_distance(ypts[r], ypts[s], counter)
                 if d < best[0]:
-                    best = (d, yidx[r], yidx[s])
+                    best = (d, r, s)
         return best
     # At most m - 1 regions, the extras going to the leftmost, so the
     # leftmost region holds two or more points: its solved minimum is the
     # running minimum the sweep starts from, as a plane sweep starts from its
     # first two points.
     stops = balanced_partition(lo, hi, min(a, m - 1))
-    best = _solve(xs, rank, ypts, yidx, lo, stops[0], a, counter)
+    best = _solve(xs, rank, ypts, lo, stops[0], a, counter)
     for start, stop in zip(stops, stops[1:]):
         if stop - start >= 2:
-            sub = _solve(xs, rank, ypts, yidx, start, stop, a, counter)
+            sub = _solve(xs, rank, ypts, start, stop, a, counter)
             if sub[0] < best[0]:
                 best = sub
     # A pair with points in regions s < r is a cross pair at line r-1 only,
@@ -293,5 +295,5 @@ def _solve(xs, rank, ypts, yidx, lo, hi, a, counter):
                 break
             stop += 1
         if keep < stop:
-            best = strip_scan(left[keep:stop] + right, stop - keep, ypts, yidx, best, counter)
+            best = strip_scan(left[keep:stop] + right, stop - keep, ypts, best, counter)
     return best

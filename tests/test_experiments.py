@@ -163,15 +163,15 @@ class TestRunTrials:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, chunks):
-                chunks = list(chunks)
-                made.append(len(chunks))
-                return map(fn, chunks)
+            def map(self, fn, *iterables, chunksize):
+                made.append(chunksize)
+                return map(fn, *iterables)
 
         monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         hist = run_trials(3, 5000, 9, jobs=5000)
-        assert made == ([workers, 5000] if workers > 1 else [])
+        # two workers, each given one chunk of 2500 trials
+        assert made == ([2, 2500] if workers > 1 else [])
         assert hist == run_trials(3, 5000, 9, jobs=1)
 
     @pytest.mark.parametrize("n,trials,jobs", [(1, 5, 1), (5, 0, 1), (5, 5, 0)])

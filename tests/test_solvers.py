@@ -76,7 +76,13 @@ def _strip(ps, left, right):
     _, _, ypts, yidx = solvers._presort(ps)
     rank = {k: r for r, k in enumerate(yidx)}
     strip = sorted(rank[k] for k in left) + sorted(rank[k] for k in right)
-    return strip, len(left), ypts, yidx
+    return strip, len(left), ypts
+
+
+def _pair(ps, best):
+    """The point indices of ``best``'s y-rank pair, in ascending order."""
+    yidx = solvers._presort(ps)[3]
+    return sorted(yidx[r] for r in best[1:])
 
 
 class TestStripScan:
@@ -85,7 +91,7 @@ class TestStripScan:
         c = OpCounter()
         best = strip_scan(*_strip(ps, [0], [1]), (1.0, 7, 8), c)
         assert best[0] == squared_distance(ps[0], ps[1], OpCounter())
-        assert sorted(best[1:]) == [0, 1]
+        assert _pair(ps, best) == [0, 1]
         assert c.dc == 1
 
     def test_window_exclusion_costs_nothing(self):
@@ -101,15 +107,16 @@ class TestStripScan:
         ps = gen_uniform_points(50, 424242)
         left = [k for k in range(50) if ps[k].x < 0.5]
         right = [k for k in range(50) if ps[k].x >= 0.5]
-        d, i, j = strip_scan(*_strip(ps, left, right), (math.inf, -1, -1), OpCounter())
+        found = strip_scan(*_strip(ps, left, right), (math.inf, -1, -1), OpCounter())
+        i, j = _pair(ps, found)
         best = min(squared_distance(ps[p], ps[q], OpCounter()) for p in left for q in right)
-        assert d == best
+        assert found[0] == best
         assert squared_distance(ps[i], ps[j], OpCounter()) == best
         assert (i in left) != (j in left)
 
     def test_empty_strip_is_noop(self):
         start = (math.inf, -1, -1)
-        assert strip_scan([], 0, [], [], start, OpCounter()) is start
+        assert strip_scan([], 0, [], start, OpCounter()) is start
 
     def test_single_point_strip_is_noop(self):
         for left, right in ([0], []), ([], [0]):
@@ -125,7 +132,7 @@ class TestStripScan:
         best = strip_scan(*_strip(ps, [0, 1], [2]), (1.0, 7, 8), c)
         assert c.dc == 2
         assert best[0] == squared_distance(ps[0], ps[2], OpCounter())
-        assert sorted(best[1:]) == [0, 2]
+        assert _pair(ps, best) == [0, 2]
         assert len(c.scan_spans) == 3 and sum(c.scan_spans) == 2
 
     def test_records_spans_when_enabled(self):
