@@ -114,17 +114,19 @@ def closest_pair_2way(point_set: PointSet, counter: OpCounter) -> ClosestPairRes
 def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> ClosestPairResult:
     """Divide and conquer with branching factor ``a``.
 
-    Splits into min(a, n - 1) balanced regions, recurses into regions of two
-    or more points with the same ``a``, then sweeps the dividing lines left
-    to right sharing one running minimum, the value ``(dist_sq, r, s)``,
-    which starts as the leftmost region's: that region always holds two or
-    more points.  The core works in y-ranks throughout: the winning ranks
-    are mapped to input indices, and put in index order, once, when the
-    result is reported.  Line t's strip pairs the in-window points of
-    regions 1..t, which the earlier lines have merged, with those of region
-    t+1, which the recursion has solved; only pairs across the line cost a
-    DC.  No pair is evaluated twice, so a solve spends at most n(n-1)/2
-    DCs, and both sides of every strip are separated by at least the window.
+    Splits into min(a, n - 1) balanced regions, then sweeps the dividing
+    lines left to right sharing one running minimum, the value
+    ``(dist_sq, r, s)``.  It starts at inf, and the regions fold into it left
+    to right before the sweep: a region of four or more points recurses with
+    the same ``a``, and one of two or three is brute-forced in place; a node
+    of three or fewer points is one such region.  The core works in y-ranks
+    throughout: the winning ranks are mapped to input indices, and put in
+    index order, once, when the result is reported.  Line t's strip pairs
+    the in-window points of regions 1..t, which the earlier lines have
+    merged, with those of region t+1, which is already solved; only pairs
+    across the line cost a DC.  No pair is evaluated twice, so a solve
+    spends at most n(n-1)/2 DCs, and both sides of every strip are separated
+    by at least the window.
     The paper's n parts (a = n) and any larger ``a`` give the n - 1 regions
     of a plane sweep: a leftmost pair, then one point per line.
 
@@ -200,29 +202,34 @@ def _presort(point_set):
     return view
 
 
+# The pairs i < j of a 2- or 3-point region, as offsets from its first position.
+_REGION_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
+
+
 def _solve(xs, rank, ypts, lo, hi, a, counter):
     m = hi - lo
-    if m <= 3:
-        best = (math.inf, -1, -1)
-        for i in range(lo, hi - 1):
-            r = rank[i]
-            for j in range(i + 1, hi):
-                s = rank[j]
-                d = squared_distance(ypts[r], ypts[s], counter)
-                if d < best[0]:
-                    best = (d, r, s)
-        return best
-    # At most m - 1 regions, the extras going to the leftmost, so the
-    # leftmost region holds two or more points: its solved minimum is the
-    # running minimum the sweep starts from, as a plane sweep starts from its
-    # first two points.
-    stops = balanced_partition(lo, hi, min(a, m - 1))
-    best = _solve(xs, rank, ypts, lo, stops[0], a, counter)
-    for start, stop in zip(stops, stops[1:]):
-        if stop - start >= 2:
-            sub = _solve(xs, rank, ypts, start, stop, a, counter)
-            if sub[0] < best[0]:
-                best = sub
+    # At most m - 1 regions, so the paper's a = n, and any larger ``a``, is
+    # the plane sweep.  A node of three or fewer points is one region, which
+    # the loop must brute-force, not recurse into.  The running minimum
+    # starts at inf and folds in the regions left to right: one of four or
+    # more points recurses, one of two or three is brute-forced in place
+    # (pairs i < j of x-sorted positions), and a single point has nothing to
+    # pair.
+    stops = [hi] if m <= 3 else balanced_partition(lo, hi, min(a, m - 1))
+    best = (math.inf, -1, -1)
+    for start, stop in zip([lo, *stops], stops):
+        if stop - start > 1:
+            if stop - start > 3:
+                sub = _solve(xs, rank, ypts, start, stop, a, counter)
+                if sub[0] < best[0]:
+                    best = sub
+            else:
+                for i, j in _REGION_PAIRS[stop - start]:
+                    r = rank[start + i]
+                    s = rank[start + j]
+                    d = squared_distance(ypts[r], ypts[s], counter)
+                    if d < best[0]:
+                        best = (d, r, s)
     # A pair with points in regions s < r is a cross pair at line r-1 only,
     # where both points lie within d(p, q) of the line: a pair closer than
     # the window is scanned there and nowhere else.  The line only moves right

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -20,6 +22,19 @@ def oracle_min_dist_sq(points):
         if best is None or d < best:
             best = d
     return best
+
+
+def _load_differential():
+    # tools/ is not a package: load the differential tool from its file, so
+    # that its tier-1 gate and the tie pins share the tool's corpus and rows.
+    path = Path(__file__).resolve().parents[1] / "tools" / "differential.py"
+    spec = importlib.util.spec_from_file_location("differential", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+differential = _load_differential()
 
 
 def point_set(coords):

@@ -30,8 +30,18 @@ DCs, span sums and the differential digest cannot see; these counts can.
 They were recorded before the strip became a list of y-ranks (the tiny-x row
 before the left side's y order was carried across lines, the sliding-window
 row before the x-window was found by walking).
+
+``TIE_PINS`` covers ties and duplicates, where a point lies exactly one
+window from a dividing line or the window is 0: four inputs of
+``tools/differential.py``'s corpus (two small grids and two signed-zero
+sets, named by their case number) and a 4x4 integer lattice whose four inner
+points appear twice, at a = 2, 16 and n.  Each x-window walk's stopping
+test (``>=`` or ``<`` against the window) changes at least one of these
+rows when made strict or loose.  They were recorded before 2- and 3-point
+regions were solved inside their node's region loop.
 """
 
+import itertools
 import math
 import random
 
@@ -42,7 +52,7 @@ from closepair.experiments import gen_uniform_points
 from closepair.geometry import OpCounter, Point, PointSet
 from closepair.solvers import closest_pair_2way, closest_pair_kway
 
-from conftest import sliding_window_coords, tiny_x_coords
+from conftest import differential, sliding_window_coords, tiny_x_coords
 
 
 def _coords(n, seed):
@@ -242,6 +252,46 @@ DEGENERATE_PINS = {
 }
 
 
+def _tie_corpus(cases=(66, 67, 759, 3616)):
+    coords = list(itertools.islice(differential.corpus(), max(cases) + 1))
+    out = {f"differential case {c}": PointSet.from_coords(coords[c]) for c in cases}
+    lattice = [(x, y) for x in range(4) for y in range(4)]
+    inner = [(x, y) for x in (1, 2) for y in (1, 2)]
+    out["lattice 4x4, inner points twice"] = PointSet.from_coords(lattice + inner)
+    return out
+
+
+TIES = _tie_corpus()
+
+TIE_PINS = {
+    "differential case 66": {  # signed zeros, n=25
+        "kway a=2": (5, 7, "0x0.0p+0", 27, 4),
+        "kway a=16": (5, 7, "0x0.0p+0", 9, 0),
+        "kway a=n": (2, 5, "0x0.0p+0", 2, 1),
+    },
+    "differential case 67": {  # grid, n=9
+        "kway a=2": (2, 6, "0x1.0000000000000p+0", 6, 0),
+        "kway a=16": (2, 6, "0x1.0000000000000p+0", 4, 3),
+        "kway a=n": (2, 6, "0x1.0000000000000p+0", 4, 3),
+    },
+    "differential case 759": {  # signed zeros, n=23
+        "kway a=2": (3, 6, "0x0.0p+0", 22, 0),
+        "kway a=16": (3, 6, "0x0.0p+0", 7, 0),
+        "kway a=n": (1, 3, "0x0.0p+0", 6, 5),
+    },
+    "differential case 3616": {  # grid, n=19
+        "kway a=2": (5, 18, "0x0.0p+0", 18, 4),
+        "kway a=16": (5, 18, "0x0.0p+0", 6, 3),
+        "kway a=n": (5, 18, "0x0.0p+0", 5, 4),
+    },
+    "lattice 4x4, inner points twice": {
+        "kway a=2": (5, 16, "0x0.0p+0", 16, 0),
+        "kway a=16": (5, 16, "0x0.0p+0", 7, 3),
+        "kway a=n": (5, 16, "0x0.0p+0", 3, 2),
+    },
+}
+
+
 STRIP_WORK = {"uniform n=2048 seed=8": gen_uniform_points(2048, 8), **DEGENERATE, **TINY_X, **SLIDING_WINDOW}
 
 STRIP_WORK_PINS = {
@@ -264,6 +314,12 @@ def test_pinned_output(case, solver):
 @pytest.mark.parametrize("solver", ["kway a=2", "kway a=16", "kway a=n"])
 def test_pinned_benchmark_inputs(case, solver):
     assert pinned_row(solver, STRIP_WORK[case]) == DEGENERATE_PINS[case][solver]
+
+
+@pytest.mark.parametrize("case", sorted(TIE_PINS))
+@pytest.mark.parametrize("solver", ["kway a=2", "kway a=16", "kway a=n"])
+def test_pinned_ties(case, solver):
+    assert pinned_row(solver, TIES[case]) == TIE_PINS[case][solver]
 
 
 @pytest.mark.parametrize("case", sorted(STRIP_WORK))

@@ -17,7 +17,8 @@ mismatches when its distance differs from ``brute_force``'s, when its pair
 is not ``0 <= i < j < n``, or when its pair's squared distance is not its
 distance.  Two source trees that evaluate the same pairs in the same order
 print the same digest.  Exits 1 on any mismatch and 2 on a usage error.
-Standard library only.
+Standard library only.  The test suite imports ``corpus`` and ``run`` to
+gate on a fixed prefix of the corpus (``tests/test_differential.py``).
 """
 
 import hashlib
@@ -56,34 +57,44 @@ def corpus():
         yield [(rnd.random() * width, float(k)) for k in range(n)]
 
 
-def main(argv):
-    if len(argv) != 3:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    sys.path.insert(0, argv[1])
+def run(cases, out):
+    """Solve each ``(case, coords)`` of ``cases`` as described above, writing its rows to ``out``.
+
+    Returns ``(rows, mismatches)``.  ``closepair`` is imported here, from
+    wherever ``sys.path`` finds it.
+    """
     from closepair.geometry import OpCounter, PointSet, squared_distance
     from closepair.solvers import brute_force, closest_pair_2way, closest_pair_kway
 
     rows = 0
     mismatches = 0
+    for case, coords in cases:
+        ps = PointSet.from_coords(coords)
+        n = len(ps)
+        expected = brute_force(ps, OpCounter()).dist_sq
+        runs = [("2way", lambda c: closest_pair_2way(ps, c))]
+        runs += [(f"a={a}", lambda c, a=a: closest_pair_kway(ps, a, c)) for a in range(2, n + 3)]
+        for label, solve in runs:
+            counter = OpCounter(scan_spans=[])
+            r = solve(counter)
+            spans = [s for s in counter.scan_spans if s]
+            mismatches += (
+                r.dist_sq != expected
+                or not 0 <= r.i < r.j < n
+                or squared_distance(ps[r.i], ps[r.j], OpCounter()) != r.dist_sq
+            )
+            rows += 1
+            out.write(f"{case} {label} {(r.i, r.j, r.dist_sq.hex(), r.dc_used, spans)}\n")
+    return rows, mismatches
+
+
+def main(argv):
+    if len(argv) != 3:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    sys.path.insert(0, argv[1])
     with open(argv[2], "w") as out:
-        for case, coords in enumerate(corpus()):
-            ps = PointSet.from_coords(coords)
-            n = len(ps)
-            expected = brute_force(ps, OpCounter()).dist_sq
-            runs = [("2way", lambda c: closest_pair_2way(ps, c))]
-            runs += [(f"a={a}", lambda c, a=a: closest_pair_kway(ps, a, c)) for a in range(2, n + 3)]
-            for label, run in runs:
-                counter = OpCounter(scan_spans=[])
-                r = run(counter)
-                spans = [s for s in counter.scan_spans if s]
-                mismatches += (
-                    r.dist_sq != expected
-                    or not 0 <= r.i < r.j < n
-                    or squared_distance(ps[r.i], ps[r.j], OpCounter()) != r.dist_sq
-                )
-                rows += 1
-                out.write(f"{case} {label} {(r.i, r.j, r.dist_sq.hex(), r.dc_used, spans)}\n")
+        rows, mismatches = run(enumerate(corpus()), out)
     with open(argv[2], "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
     print(f"rows {rows}  mismatches against brute force {mismatches}  sha256 {digest}")
