@@ -131,20 +131,26 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     of a plane sweep: a leftmost pair, then one point per line.
 
     Each line's strip is a list of y-ranks, found so that a line costs about
-    what can cross it.  A walk right from the line finds region t+1's
-    in-window points; a line with none is skipped, as the window is
+    what can cross it.  On either side the in-window points are a run that
+    ends at the line, as dx only grows away from it, so each side tests its
+    run's far end first and walks only when that end is out of the window.
+    Region t+1's run is the whole region when its far end is in the window,
+    and is otherwise found by a walk right from the line that stops at the
+    far end at the latest; a line with none is skipped, as the window is
     symmetric about the line.  The in-window run left of the line only loses
     points from its left end as the sweep moves right, and its y order is
     carried from line to line: the left edge walks forward past carried
     points that have left the window, which are deleted, and the region that
     entered is inserted (one point) or merged in (more).  Only when every
-    carried point has left is the run found by walking back from the line
-    and sorted afresh.  Every step of either walk is paid for: a forward step
-    passes a point that was inserted once, and a backward step is one entry
-    of the fresh sort.  A bisection and a few bounded steps from each end of
-    region t+1's y range then keep the left points within the window of that
-    range; the rest meet nothing and are not passed to ``strip_scan``, whose
-    docstring says what that means for the logged spans.
+    carried point has left is the run found afresh, by testing its far end
+    (the first position not carried) and, if that is out, walking back from
+    the line, and then sorted.  Every walk step is paid for: a right or
+    backward step is one entry of a sort, and a forward step passes a point
+    that was inserted once.  A bisection and a few bounded steps from each
+    end of region t+1's y range then keep the left points within the window
+    of that range; the rest meet nothing and are not passed to
+    ``strip_scan``, whose docstring says what that means for the logged
+    spans.
     Raises ``DistanceOverflow`` when even the closest squared distance is inf.
     """
     n = len(point_set)
@@ -240,12 +246,19 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
     for boundary, end in zip(stops, stops[1:]):
         x_line = dividing_x(xs, boundary)
         window = best[0]
-        last = boundary
-        while last < end:
-            dx = xs[last] - x_line
-            if dx * dx >= window:
-                break
-            last += 1
+        # The line lies between positions boundary - 1 and boundary, so dx
+        # only grows rightward: if the right region's far end is in the
+        # window, all of it is.  Otherwise walk right from the line; the far
+        # end is out, so the walk stops there at the latest.
+        last = end
+        dx = xs[end - 1] - x_line
+        if dx * dx >= window:
+            last = boundary
+            while True:
+                dx = xs[last] - x_line
+                if dx * dx >= window:
+                    break
+                last += 1
         # The window is symmetric about the line, so with no right point in it
         # the left side is empty too, up to rounding: nothing can cross.
         if last == boundary:

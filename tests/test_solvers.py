@@ -383,6 +383,49 @@ class TestStripWork:
         assert totals[2] <= 2.5 * totals[1]
 
 
+class TestWindowWork:
+    """A line reads at most four x values when the window settles both sides at once.
+
+    On a vertical line or two columns every right region is wholly in the
+    window and no left point leaves it, so a line needs its two neighbours
+    (to place it), the right region's far end and one left-edge test.
+    Walking the whole right region instead read, on either family, 11.0 and
+    13.0 x values per line at a = 2 and n = 512 and 2,048, and 6.8 and 6.0
+    at a = 16; at a = n, with one point per right region, it read 4.0.
+    """
+
+    FAMILIES = {family: TestStripWork.FAMILIES[family] for family in ("vertical line", "two columns")}
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("n", [512, 2048])
+    @pytest.mark.parametrize("a", [2, 16, "n"])
+    def test_x_reads_per_line(self, family, n, a, monkeypatch):
+        reads = [0]
+        lines = [0]
+
+        class CountingList(list):
+            def __getitem__(self, k):
+                reads[0] += 1
+                return super().__getitem__(k)
+
+        presort = solvers._presort
+        place = solvers.dividing_x
+
+        def counting_presort(ps):
+            xs, *rest = presort(ps)
+            return (CountingList(xs), *rest)
+
+        def counting_dividing_x(xs, stop):
+            lines[0] += 1
+            return place(xs, stop)
+
+        monkeypatch.setattr(solvers, "_presort", counting_presort)
+        monkeypatch.setattr(solvers, "dividing_x", counting_dividing_x)
+        closest_pair_kway(point_set(self.FAMILIES[family](n)), n if a == "n" else a, OpCounter())
+        assert lines[0] > 0
+        assert reads[0] <= 4 * lines[0]
+
+
 class TestSortWork:
     """Rank entries the core sorts or inserts grow about n log n on degenerate inputs.
 

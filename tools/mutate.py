@@ -1,0 +1,149 @@
+"""Mutation run of the solver core against its solver tests and the differential.
+
+Usage: python3 tools/mutate.py <src>
+
+Parses <src>/closepair/solvers.py with ``ast`` and makes one mutant per site
+of a fixed operator set: ``<`` and ``<=`` swapped, ``>`` and ``>=`` swapped,
+an int constant from 0 to 3 raised by one, ``break`` and ``continue``
+swapped, and a ``+ 1`` or ``- 1`` dropped.  Each mutant is written with
+``ast.unparse`` into a copy of <src> in a temporary directory, next to copies
+of this repository's ``tests/`` and ``tools/differential.py``, and
+``tests/test_solver_pins.py`` and ``tests/test_solvers.py`` run against it.
+A mutant that fails them, or runs more than three times as long as the
+unmutated core plus 10 s (a swapped ``break`` often never ends), is killed.
+Each survivor then runs the differential; it is killed there when the run
+reports a mismatch or its output differs from the unmutated core's.  Prints
+each survivor with its line and column and whether the differential killed
+it, then the totals.  Writes nothing outside the temporary directory.  Exits
+1 when the unmutated core fails its tests or the differential, and 2 on a
+usage error.  Standard library only; a run of about 100 mutants takes about
+ten minutes.
+"""
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TESTS = ["tests/test_solver_pins.py", "tests/test_solvers.py"]
+FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
+
+
+class Mutator(ast.NodeTransformer):
+    """Numbers the mutation sites in visiting order and applies the one numbered ``target``.
+
+    ``sites`` collects ``(line, column, change)`` for every site met up to the
+    target; with a target of -1 that is every site of the tree.
+    """
+
+    def __init__(self, target):
+        self.target = target
+        self.sites = []
+
+    def _hit(self, node, change):
+        self.sites.append((node.lineno, node.col_offset, change))
+        return len(self.sites) - 1 == self.target
+
+    def visit_Compare(self, node):
+        self.generic_visit(node)
+        for k, op in enumerate(node.ops):
+            flipped = FLIP.get(type(op))
+            if flipped and self._hit(node, f"{SYMBOL[type(op)]} -> {SYMBOL[flipped]}"):
+                node.ops[k] = flipped()
+        return node
+
+    def visit_Constant(self, node):
+        if type(node.value) is int and 0 <= node.value <= 3 and self._hit(node, f"{node.value} -> {node.value + 1}"):
+            return ast.Constant(node.value + 1)
+        return node
+
+    def visit_Break(self, node):
+        return ast.Continue() if self._hit(node, "break -> continue") else node
+
+    def visit_Continue(self, node):
+        return ast.Break() if self._hit(node, "continue -> break") else node
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        one = isinstance(node.right, ast.Constant) and type(node.right.value) is int and node.right.value == 1
+        if one and isinstance(node.op, (ast.Add, ast.Sub)):
+            if self._hit(node, f"drop {'+' if isinstance(node.op, ast.Add) else '-'} 1"):
+                return node.left
+        return node
+
+
+def mutant(source, target):
+    """``(source of mutant number target, its sites)``; target -1 gives the unmutated source."""
+    mutator = Mutator(target)
+    return ast.unparse(mutator.visit(ast.parse(source))) + "\n", mutator.sites
+
+
+def run(command, cwd, timeout):
+    """``(exit code or None on timeout, seconds)`` of ``command`` run in ``cwd`` on the copied source."""
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
+    began = time.perf_counter()
+    try:
+        code = subprocess.run(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        code = None
+    return code, time.perf_counter() - began
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    source = (Path(argv[1]) / "closepair" / "solvers.py").read_text()
+    lines = source.splitlines()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(argv[1], work / "src", ignore=ignore)
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
+        (work / "tools").mkdir()
+        shutil.copy(ROOT / "tools" / "differential.py", work / "tools")
+        target = work / "src" / "closepair" / "solvers.py"
+        tests = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
+        differential = [sys.executable, "tools/differential.py", "src", "out.txt"]
+
+        # The unmutated core, unparsed like every mutant, sets the time
+        # limits and the differential output each survivor must match.
+        plain, sites = mutant(source, -1)
+        target.write_text(plain)
+        test_code, test_s = run(tests, work, None)
+        diff_code, diff_s = run(differential, work, None)
+        if test_code or diff_code:
+            print("the unmutated core fails its tests or the differential", file=sys.stderr)
+            return 1
+        reference = (work / "out.txt").read_bytes()
+
+        killed = timeouts = by_differential = 0
+        for k, (line, column, change) in enumerate(sites):
+            target.write_text(mutant(source, k)[0])
+            code, _ = run(tests, work, 3 * test_s + 10)
+            if code != 0:
+                killed += 1
+                timeouts += code is None
+                continue
+            code, _ = run(differential, work, 3 * diff_s + 10)
+            caught = code != 0 or (work / "out.txt").read_bytes() != reference
+            by_differential += caught
+            verdict = "killed by the differential" if caught else "same differential output"
+            where = f"solvers.py:{line}:{column + 1}"
+            print(f"survivor {where:18} {change:18} {verdict}  | {lines[line - 1].strip()}", flush=True)
+    survivors = len(sites) - killed
+    print(f"mutants {len(sites)}  killed by tests {killed} ({timeouts} timed out)  "
+          f"survivors {survivors}  killed by the differential {by_differential}  "
+          f"left {survivors - by_differential}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
