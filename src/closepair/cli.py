@@ -37,16 +37,18 @@ def format_number(value: float) -> str:
 def parse_points_text(text: str) -> PointSet:
     """Parse point-file content: two numbers per line, '#' comments and blanks skipped."""
     pts = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), 1):
         fields = line.split()
-        if len(fields) != 2:
-            raise PointFileError(lineno, f"expected two numbers, got {len(fields)} fields")
+        # A point line is the common case, so blank lines, comments and
+        # errors are told apart only once it has failed: no float has a '#'.
         try:
-            pts.append(Point(float(fields[0]), float(fields[1])))
+            x, y = fields
+            pts.append(Point(float(x), float(y)))
         except ValueError as exc:
+            if not fields or fields[0].startswith("#"):
+                continue
+            if len(fields) != 2:
+                raise PointFileError(lineno, f"expected two numbers, got {len(fields)} fields") from None
             raise PointFileError(lineno, str(exc)) from exc
     return PointSet(pts)
 

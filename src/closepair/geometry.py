@@ -9,18 +9,33 @@ counted.
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Point:
-    """A 2-D point with finite coordinates."""
+    """A 2-D point with finite coordinates.
+
+    Frozen: equality, hashing, ``repr``, ``match`` and ``dataclasses.replace``
+    come from the dataclass.  The constructor is written out rather than
+    generated, because every parsed or generated point passes through it: it
+    checks both coordinates once and stores them through the slot
+    descriptors, which the frozen ``__setattr__`` does not guard.  A
+    non-finite coordinate raises ``ValueError``, a non-number ``TypeError``.
+    """
 
     x: float
     y: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+    def __init__(self, x, y):
+        if not (isfinite(x) and isfinite(y)):
+            raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
+        _set_x(self, x)
+        _set_y(self, y)
+
+
+_set_x = Point.x.__set__
+_set_y = Point.y.__set__
 
 
 class PointSet:

@@ -119,7 +119,9 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     ``(dist_sq, r, s)``.  It starts at inf, and the regions fold into it left
     to right before the sweep: a region of four or more points recurses with
     the same ``a``, and one of two or three is brute-forced in place; a node
-    of three or fewer points is one such region.  The core works in y-ranks
+    of three or fewer points is one such region.  A node whose minimum is
+    then 0 skips its sweep, as only a strictly closer pair could replace
+    it.  The core works in y-ranks
     throughout: the winning ranks are mapped to input indices, and put in
     index order, once, when the result is reported.  Line t's strip pairs
     the in-window points of regions 1..t, which the earlier lines have
@@ -201,8 +203,9 @@ def _presort(point_set):
         return cached[1]
     yidx = sorted(range(len(pts)), key=[p.y for p in pts].__getitem__)
     ypts = [pts[k] for k in yidx]
-    rank = sorted(range(len(pts)), key=[p.x for p in ypts].__getitem__)
-    xs = [ypts[r].x for r in rank]
+    yxs = [p.x for p in ypts]
+    rank = sorted(range(len(pts)), key=yxs.__getitem__)
+    xs = [yxs[r] for r in rank]
     view = xs, rank, ypts, yidx
     point_set._sorted = (pts, view)
     return view
@@ -236,6 +239,10 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
                     d = squared_distance(ypts[r], ypts[s], counter)
                     if d < best[0]:
                         best = (d, r, s)
+    # Only a strictly closer pair replaces the minimum, so once it is 0 no
+    # line can keep anything.
+    if best[0] == 0:
+        return best
     # A pair with points in regions s < r is a cross pair at line r-1 only,
     # where both points lie within d(p, q) of the line: a pair closer than
     # the window is scanned there and nowhere else.  The line only moves right

@@ -62,6 +62,61 @@ class TestParsePoints:
             parse_points_text("0 0\ninf 1\n")
 
 
+class TestParseErrorPins:
+    """``closepair solve``'s exit code, stdout and stderr on awkward point files, byte for byte."""
+
+    CASES = {
+        "one field": (b"0 0\n1\n", 2, "", "error: line 2: expected two numbers, got 1 fields\n"),
+        "three fields": (b"0 0\n1 2 3\n", 2, "", "error: line 2: expected two numbers, got 3 fields\n"),
+        "bad float": (b"0 0\n1.0 abc\n", 2, "", "error: line 2: could not convert string to float: 'abc'\n"),
+        "hex float": (b"0x10 0\n3 4\n", 2, "", "error: line 1: could not convert string to float: '0x10'\n"),
+        "byte order mark": (
+            b"\xef\xbb\xbf0 0\n3 4\n", 2, "", "error: line 1: could not convert string to float: '\\ufeff0'\n"
+        ),
+        "inf": (b"0 0\ninf 1\n", 2, "", "error: line 2: point coordinates must be finite, got (inf, 1.0)\n"),
+        "-inf": (b"-inf 0\n3 4\n", 2, "", "error: line 1: point coordinates must be finite, got (-inf, 0.0)\n"),
+        "nan": (b"0 0\n1 nan\n", 2, "", "error: line 2: point coordinates must be finite, got (1.0, nan)\n"),
+        "1e999": (b"0 0\n1e999 0\n", 2, "", "error: line 2: point coordinates must be finite, got (inf, 0.0)\n"),
+        "crlf": (b"0 0\r\n3 4\r\n", 0, "0 1 5 1\n", ""),
+        "crlf bad line": (b"0 0\r\n3\r\n", 2, "", "error: line 2: expected two numbers, got 1 fields\n"),
+        "indented comment": (b"  # header\n0 0\n\t# mid\n3 4\n", 0, "0 1 5 1\n", ""),
+        "comment glued to numbers": (b"#1 2\n0 0\n3 4\n", 0, "0 1 5 1\n", ""),
+        "trailing comment": (b"0 0 # c\n3 4\n", 2, "", "error: line 1: expected two numbers, got 4 fields\n"),
+        "tabs": (b"0\t0\n3\t\t4\t\n", 0, "0 1 5 1\n", ""),
+        "whitespace-only lines": (b" \n0 0\n \t \n3 4\n\t\n", 0, "0 1 5 1\n", ""),
+        "whitespace-only then bad": (b"0 0\n  \n\t\n5\n", 2, "", "error: line 4: expected two numbers, got 1 fields\n"),
+        "form feed breaks lines": (b"0 0\x0c3 4\n", 0, "0 1 5 1\n", ""),
+        "form feed bad line": (b"0 0\x0c3\n", 2, "", "error: line 2: expected two numbers, got 1 fields\n"),
+        "vertical tab breaks lines": (b"0 0\x0b3 4\n", 0, "0 1 5 1\n", ""),
+        "no final newline": (b"0 0\n3 4", 0, "0 1 5 1\n", ""),
+        "one point": (b"# only\n0 0\n", 3, "", "error: need at least 2 points, got 1\n"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_solve_output(self, case, tmp_path, capsys):
+        data, code, out, err = self.CASES[case]
+        f = tmp_path / "p.txt"
+        f.write_bytes(data)
+        assert run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys) == (code, out, err)
+
+    def test_non_utf8(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_bytes(b"0 0\n\xff\xfe1 2\n")
+        assert run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys) == (
+            2,
+            "",
+            f"error: {f} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n",
+        )
+
+    def test_missing_file(self, tmp_path, capsys):
+        f = tmp_path / "absent.txt"
+        assert run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys) == (
+            2,
+            "",
+            f"error: cannot read {f}: [Errno 2] No such file or directory: '{f}'\n",
+        )
+
+
 class TestSolve:
     def test_brute_exact_line(self, tmp_path, capsys):
         f = tmp_path / "p.txt"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,77 @@ class TestPoint:
             Point(bad, 0.0)
         with pytest.raises(ValueError):
             Point(0.0, bad)
+
+    @pytest.mark.parametrize(
+        "x,y,text",
+        [
+            (math.inf, 0.0, "(inf, 0.0)"),
+            (1, math.nan, "(1, nan)"),
+            (-math.inf, math.inf, "(-inf, inf)"),
+        ],
+    )
+    def test_non_finite_message(self, x, y, text):
+        with pytest.raises(ValueError) as info:
+            Point(x, y)
+        assert str(info.value) == f"point coordinates must be finite, got {text}"
+
+    def test_non_number_is_type_error(self):
+        with pytest.raises(TypeError, match="must be real number, not str"):
+            Point("a", 1)
+        with pytest.raises(TypeError):
+            Point(0.0, None)
+
+    def test_frozen(self):
+        p = Point(1.0, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.x = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del p.y
+        assert (p.x, p.y) == (1.0, 2.0)
+        assert not hasattr(p, "__dict__")
+
+    def test_equality_and_hash(self):
+        assert Point(1, 2) == Point(1.0, 2.0)
+        assert hash(Point(1, 2)) == hash(Point(1.0, 2.0))
+        assert Point(-0.0, 0.5) == Point(0.0, 0.5)
+        assert hash(Point(-0.0, 0.5)) == hash(Point(0.0, 0.5))
+        assert Point(1.0, 2.0) != Point(2.0, 1.0)
+        assert Point(1.0, 2.0) != (1.0, 2.0)
+        assert len({Point(1.0, 2.0), Point(1, 2), Point(2.0, 1.0)}) == 2
+
+    def test_repr_and_keywords(self):
+        assert repr(Point(1.5, -2.0)) == "Point(x=1.5, y=-2.0)"
+        assert Point(y=2.0, x=1.0) == Point(1.0, 2.0)
+        assert Point(1.0, y=2.0) == Point(1.0, 2.0)
+        with pytest.raises(TypeError):
+            Point(1.0)
+
+    def test_replace_validates(self):
+        p = Point(1.0, 2.0)
+        assert dataclasses.replace(p, y=5.0) == Point(1.0, 5.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(p, x=math.nan)
+        assert [f.name for f in dataclasses.fields(Point)] == ["x", "y"]
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        p = Point(0.1, -3e300)
+        q = pickle.loads(pickle.dumps(p, protocol))
+        assert type(q) is Point and q == p
+        assert (q.x, q.y) == (0.1, -3e300)
+
+    def test_match(self):
+        assert Point.__match_args__ == ("x", "y")
+        match Point(3.0, 4.0):
+            case Point(x, y):
+                assert (x, y) == (3.0, 4.0)
+            case _:
+                pytest.fail("Point(x, y) did not match")
+        match Point(3.0, 4.0):
+            case Point(x=3.0, y=y):
+                assert y == 4.0
+            case _:
+                pytest.fail("Point(x=3.0, y=y) did not match")
 
 
 class TestPointSet:

@@ -425,6 +425,41 @@ class TestWindowWork:
         assert lines[0] > 0
         assert reads[0] <= 4 * lines[0]
 
+    @pytest.mark.parametrize("n", [512, 2048])
+    @pytest.mark.parametrize("a", [2, 16, "n"])
+    def test_no_x_read_after_a_zero(self, n, a, monkeypatch):
+        # Every point twice, so the first leaf already finds 0: from then on
+        # no node's line can keep a pair, and none should be placed or walked.
+        side = math.isqrt(n // 2)
+        cells = [(float(x), float(y)) for x in range(side) for y in range(side)]
+        coords = [cells[k % len(cells)] for k in range(n)]
+        random.Random(n).shuffle(coords)
+        zero = [False]
+        late_reads = [0]
+
+        class CountingList(list):
+            def __getitem__(self, k):
+                late_reads[0] += zero[0]
+                return super().__getitem__(k)
+
+        presort = solvers._presort
+        distance = solvers.squared_distance
+
+        def counting_presort(ps):
+            xs, *rest = presort(ps)
+            return (CountingList(xs), *rest)
+
+        def watching_distance(p, q, counter):
+            d = distance(p, q, counter)
+            zero[0] = zero[0] or d == 0
+            return d
+
+        monkeypatch.setattr(solvers, "_presort", counting_presort)
+        monkeypatch.setattr(solvers, "squared_distance", watching_distance)
+        r = closest_pair_kway(point_set(coords), n if a == "n" else a, OpCounter())
+        assert r.dist_sq == 0 and zero[0]
+        assert late_reads[0] == 0
+
 
 class TestSortWork:
     """Rank entries the core sorts or inserts grow about n log n on degenerate inputs.

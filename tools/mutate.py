@@ -1,23 +1,29 @@
-"""Mutation run of the solver core against its solver tests and the differential.
+"""Mutation run of the solver core, the point parser and the point constructor against their tests.
 
 Usage: python3 tools/mutate.py <src>
 
-Parses <src>/closepair/solvers.py with ``ast`` and makes one mutant per site
-of a fixed operator set: ``<`` and ``<=`` swapped, ``>`` and ``>=`` swapped,
-an int constant from 0 to 3 raised by one, ``break`` and ``continue``
-swapped, and a ``+ 1`` or ``- 1`` dropped.  Each mutant is written with
-``ast.unparse`` into a copy of <src> in a temporary directory, next to copies
-of this repository's ``tests/`` and ``tools/differential.py``, and
-``tests/test_solver_pins.py`` and ``tests/test_solvers.py`` run against it.
-A mutant that fails them, or runs more than three times as long as the
-unmutated core plus 10 s (a swapped ``break`` often never ends), is killed.
-Each survivor then runs the differential; it is killed there when the run
-reports a mismatch or its output differs from the unmutated core's.  Prints
-each survivor with its line and column and whether the differential killed
-it, then the totals.  Writes nothing outside the temporary directory.  Exits
-1 when the unmutated core fails its tests or the differential, and 2 on a
-usage error.  Standard library only; a run of about 100 mutants takes about
-ten minutes.
+Parses three files of <src>/closepair with ``ast`` and makes one mutant per
+site of a fixed operator set: ``<`` and ``<=`` swapped, ``>`` and ``>=``
+swapped, an int constant from 0 to 3 raised by one, ``break`` and
+``continue`` swapped, a ``+ 1`` or ``- 1`` dropped, ``and`` and ``or``
+swapped, and a ``not`` dropped.  The targets and the tests each runs against:
+
+- all of ``solvers.py``: ``tests/test_solver_pins.py`` and ``tests/test_solvers.py``;
+- ``parse_points_text`` in ``cli.py`` and ``Point.__init__`` in
+  ``geometry.py``: ``tests/test_cli.py`` and ``tests/test_geometry.py``.
+
+Each mutant is written with ``ast.unparse`` into a copy of <src> in a
+temporary directory, next to copies of this repository's ``tests/`` and
+``tools/differential.py``, and its tests run against it.  A mutant that
+fails them, or runs more than three times as long as the unmutated file plus
+10 s (a swapped ``break`` often never ends), is killed.  Each survivor then
+runs the differential; it is killed there when the run reports a mismatch or
+its output differs from the unmutated file's.  Prints each survivor with its
+file, line and column and whether the differential killed it, then one line
+of totals per file.  Writes nothing outside the temporary directory.  Exits
+1 when an unmutated file fails its tests or the differential, and 2 on a
+usage error.  Standard library only; a run of about 120 mutants takes about
+ten minutes on 2 vCPUs.
 """
 
 import ast
@@ -30,7 +36,14 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TESTS = ["tests/test_solver_pins.py", "tests/test_solvers.py"]
+PARSE_TESTS = ("tests/test_cli.py", "tests/test_geometry.py")
+# (file in <src>/closepair, qualified name of the function to mutate or None
+# for the whole file, tests that must kill its mutants)
+TARGETS = (
+    ("solvers.py", None, ("tests/test_solver_pins.py", "tests/test_solvers.py")),
+    ("cli.py", "parse_points_text", PARSE_TESTS),
+    ("geometry.py", "Point.__init__", PARSE_TESTS),
+)
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 
@@ -38,17 +51,31 @@ SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 class Mutator(ast.NodeTransformer):
     """Numbers the mutation sites in visiting order and applies the one numbered ``target``.
 
-    ``sites`` collects ``(line, column, change)`` for every site met up to the
-    target; with a target of -1 that is every site of the tree.
+    Only sites inside the function whose qualified name is ``scope`` count,
+    or every site when ``scope`` is None.  ``sites`` collects ``(line,
+    column, change)`` for every site met up to the target; with a target of
+    -1 that is every site in scope.
     """
 
-    def __init__(self, target):
+    def __init__(self, target, scope=None):
         self.target = target
+        self.scope = scope
+        self.names = []
         self.sites = []
 
     def _hit(self, node, change):
+        if self.scope not in (None, ".".join(self.names)):
+            return False
         self.sites.append((node.lineno, node.col_offset, change))
         return len(self.sites) - 1 == self.target
+
+    def _named(self, node):
+        self.names.append(node.name)
+        self.generic_visit(node)
+        self.names.pop()
+        return node
+
+    visit_ClassDef = visit_FunctionDef = _named
 
     def visit_Compare(self, node):
         self.generic_visit(node)
@@ -77,10 +104,23 @@ class Mutator(ast.NodeTransformer):
                 return node.left
         return node
 
+    def visit_BoolOp(self, node):
+        self.generic_visit(node)
+        swapped = ast.Or if isinstance(node.op, ast.And) else ast.And
+        if self._hit(node, f"{type(node.op).__name__.lower()} -> {swapped.__name__.lower()}"):
+            node.op = swapped()
+        return node
 
-def mutant(source, target):
+    def visit_UnaryOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Not) and self._hit(node, "drop not"):
+            return node.operand
+        return node
+
+
+def mutant(source, target, scope=None):
     """``(source of mutant number target, its sites)``; target -1 gives the unmutated source."""
-    mutator = Mutator(target)
+    mutator = Mutator(target, scope)
     return ast.unparse(mutator.visit(ast.parse(source))) + "\n", mutator.sites
 
 
@@ -96,37 +136,32 @@ def run(command, cwd, timeout):
     return code, time.perf_counter() - began
 
 
-def main(argv):
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    source = (Path(argv[1]) / "closepair" / "solvers.py").read_text()
-    lines = source.splitlines()
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        ignore = shutil.ignore_patterns("__pycache__")
-        shutil.copytree(argv[1], work / "src", ignore=ignore)
-        shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
-        (work / "tools").mkdir()
-        shutil.copy(ROOT / "tools" / "differential.py", work / "tools")
-        target = work / "src" / "closepair" / "solvers.py"
-        tests = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
-        differential = [sys.executable, "tools/differential.py", "src", "out.txt"]
+def mutate_file(work, name, scope, tests):
+    """Run every mutant of ``name`` (only ``scope`` in it, if given) in the copy at ``work``.
 
-        # The unmutated core, unparsed like every mutant, sets the time
+    Prints each survivor as it is found and returns the totals line, or
+    None when the unmutated file fails its tests or the differential.  The
+    file is restored before returning.
+    """
+    target = work / "src" / "closepair" / name
+    source = target.read_text()
+    lines = source.splitlines()
+    tests = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    differential = [sys.executable, "tools/differential.py", "src", "out.txt"]
+    try:
+        # The unmutated file, unparsed like every mutant, sets the time
         # limits and the differential output each survivor must match.
-        plain, sites = mutant(source, -1)
+        plain, sites = mutant(source, -1, scope)
         target.write_text(plain)
         test_code, test_s = run(tests, work, None)
         diff_code, diff_s = run(differential, work, None)
         if test_code or diff_code:
-            print("the unmutated core fails its tests or the differential", file=sys.stderr)
-            return 1
+            return None
         reference = (work / "out.txt").read_bytes()
 
         killed = timeouts = by_differential = 0
         for k, (line, column, change) in enumerate(sites):
-            target.write_text(mutant(source, k)[0])
+            target.write_text(mutant(source, k, scope)[0])
             code, _ = run(tests, work, 3 * test_s + 10)
             if code != 0:
                 killed += 1
@@ -136,12 +171,35 @@ def main(argv):
             caught = code != 0 or (work / "out.txt").read_bytes() != reference
             by_differential += caught
             verdict = "killed by the differential" if caught else "same differential output"
-            where = f"solvers.py:{line}:{column + 1}"
+            where = f"{name}:{line}:{column + 1}"
             print(f"survivor {where:18} {change:18} {verdict}  | {lines[line - 1].strip()}", flush=True)
+    finally:
+        target.write_text(source)
     survivors = len(sites) - killed
-    print(f"mutants {len(sites)}  killed by tests {killed} ({timeouts} timed out)  "
-          f"survivors {survivors}  killed by the differential {by_differential}  "
-          f"left {survivors - by_differential}")
+    return (f"{name + (f' {scope}' if scope else ''):29} mutants {len(sites)}  killed by tests {killed} "
+            f"({timeouts} timed out)  survivors {survivors}  killed by the differential {by_differential}  "
+            f"left {survivors - by_differential}")
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    totals = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(argv[1], work / "src", ignore=ignore)
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
+        (work / "tools").mkdir()
+        shutil.copy(ROOT / "tools" / "differential.py", work / "tools")
+        for name, scope, tests in TARGETS:
+            line = mutate_file(work, name, scope, tests)
+            if line is None:
+                print(f"the unmutated {name} fails its tests or the differential", file=sys.stderr)
+                return 1
+            totals.append(line)
+    print("\n".join(totals))
     return 0
 
 
