@@ -60,7 +60,8 @@ def _cmd_solve(args) -> int:
     elif args.a is not None:
         raise ClosepairError(f"--a is only valid with --algo kway, not {args.algo}")
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark; one elsewhere stays text
+        with open(args.input, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)

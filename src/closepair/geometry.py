@@ -79,19 +79,9 @@ class PointSet:
 
 @dataclass(slots=True)
 class OpCounter:
-    """Counts distance computations for a single solver invocation.
-
-    ``scan_spans``, when set to a list, additionally records how many
-    successor comparisons each strip point received during strip scans.
-    It exists so the per-point scan bound can be observed from outside: the
-    solvers scan only pairs across a line whose two sides are both already
-    solved, the premise of the classical bound of 7 successors per point
-    (Preparata & Shamos 1985, section 5.4).  It does not affect counting.
-    ``solvers.strip_scan`` logs the spans and says which strip points do.
-    """
+    """Counts distance computations for a single solver invocation."""
 
     dc: int = 0
-    scan_spans: list | None = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -61,14 +61,7 @@ def strip_scan(strip, split: int, ypts, best: tuple, counter: OpCounter) -> tupl
     strictly closer pair replaces the minimum, so ties keep the first pair
     found; improvements take effect immediately, tightening the window for
     the rest of the scan.
-
-    When ``counter.scan_spans`` is a list, each strip point appends the
-    number of successors it was compared against.  The k-way core passes
-    only the left points inside the right side's y-band (those that can meet
-    a right point), so left points outside it log no span; they would log 0,
-    so span sums and maxima are the same as over the whole in-window strip.
     """
-    spans = counter.scan_spans
     window = best[0]
     m = len(strip)
     i = 0
@@ -86,7 +79,6 @@ def strip_scan(strip, split: int, ypts, best: tuple, counter: OpCounter) -> tupl
             k, end = j, m
         p = ypts[r]
         y = p.y
-        start = k
         while k < end:
             s = strip[k]
             q = ypts[s]
@@ -98,11 +90,6 @@ def strip_scan(strip, split: int, ypts, best: tuple, counter: OpCounter) -> tupl
                 window = d
                 best = (d, r, s)
             k += 1
-        if spans is not None:
-            spans.append(k - start)
-    if spans is not None:
-        # the rest of the longer run has no successor on the other side
-        spans.extend([0] * (m - i - j + split))
     return best
 
 
@@ -151,8 +138,7 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     that was inserted once.  A bisection and a few bounded steps from each
     end of region t+1's y range then keep the left points within the window
     of that range; the rest meet nothing and are not passed to
-    ``strip_scan``, whose docstring says what that means for the logged
-    spans.
+    ``strip_scan``.
     Raises ``DistanceOverflow`` when even the closest squared distance is inf.
     """
     n = len(point_set)

@@ -22,6 +22,8 @@ from closepair.experiments import (
 from closepair.geometry import OpCounter, Point, PointSet
 from closepair.solvers import brute_force, closest_pair_2way, closest_pair_kway
 
+from conftest import differential
+
 
 def _report(num, label, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -155,10 +157,10 @@ def test_criterion_7a_strip_scan_span_bound():
         ps = gen_uniform_points(n, next(stream))
         assert len(set(ps.points)) == n  # distinct-point instances
         for name, run in configs.items():
-            counter = OpCounter(scan_spans=[])
-            run(ps, counter)
-            if counter.scan_spans:
-                worst[name] = max(worst[name], max(counter.scan_spans))
+            with differential.recorded_spans() as (spans, _):
+                run(ps, OpCounter())
+            if spans:
+                worst[name] = max(worst[name], max(spans))
     _report(
         "7a",
         "strip-scan span bound",

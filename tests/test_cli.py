@@ -70,8 +70,9 @@ class TestParseErrorPins:
         "three fields": (b"0 0\n1 2 3\n", 2, "", "error: line 2: expected two numbers, got 3 fields\n"),
         "bad float": (b"0 0\n1.0 abc\n", 2, "", "error: line 2: could not convert string to float: 'abc'\n"),
         "hex float": (b"0x10 0\n3 4\n", 2, "", "error: line 1: could not convert string to float: '0x10'\n"),
-        "byte order mark": (
-            b"\xef\xbb\xbf0 0\n3 4\n", 2, "", "error: line 1: could not convert string to float: '\\ufeff0'\n"
+        "byte order mark": (b"\xef\xbb\xbf0 0\n3 4\n", 0, "0 1 5 1\n", ""),
+        "byte order mark mid-file": (
+            b"0 0\n\xef\xbb\xbf3 4\n", 2, "", "error: line 2: could not convert string to float: '\\ufeff3'\n"
         ),
         "inf": (b"0 0\ninf 1\n", 2, "", "error: line 2: point coordinates must be finite, got (inf, 1.0)\n"),
         "-inf": (b"-inf 0\n3 4\n", 2, "", "error: line 1: point coordinates must be finite, got (-inf, 0.0)\n"),
@@ -194,6 +195,12 @@ class TestSolve:
         assert code == 0
         assert "clamped" in err
         assert out == "0 1 1 3\n"
+
+    @pytest.mark.parametrize("a, err", [(3, ""), (4, "note: a=4 exceeds n=3, clamped to 3\n")])
+    def test_clamp_note_only_above_n(self, a, err, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n1 0\n2 0\n")
+        assert run_cli(["solve", "--input", str(f), "--algo", "kway", "--a", str(a)], capsys) == (0, "0 1 1 3\n", err)
 
 
 class TestSweep:

@@ -173,6 +173,3 @@ class TestPointSet:
 class TestOpCounter:
     def test_starts_at_zero(self):
         assert OpCounter().dc == 0
-
-    def test_scan_spans_off_by_default(self):
-        assert OpCounter().scan_spans is None

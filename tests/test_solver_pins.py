@@ -1,9 +1,11 @@
 """Pinned solver outputs on a fixed corpus, degenerate inputs included.
 
 Each entry records ``(i, j, dist_sq.hex(), dc_used, sum of scan spans)`` for
-one solver on one instance.  The values were recorded before the 2-way solver
-became the k-way core at ``a = 2``; any change to which pairs a solver
-evaluates, in what order, or how ties resolve shows up here as a diff.
+one solver on one instance, the spans as ``recorded_spans`` of
+``tools/differential.py`` observes them.  The values were recorded before
+the 2-way solver became the k-way core at ``a = 2``; any change to which
+pairs a solver evaluates, in what order, or how ties resolve shows up here
+as a diff.
 
 The last two columns were re-recorded when each dividing line's strip was
 restricted to pairs across the line (the regions left of it against the one
@@ -118,9 +120,9 @@ SOLVERS = {
 
 
 def pinned_row(solver, ps):
-    counter = OpCounter(scan_spans=[])
-    r = SOLVERS[solver](ps, counter)
-    return (r.i, r.j, r.dist_sq.hex(), r.dc_used, sum(counter.scan_spans))
+    with differential.recorded_spans() as (spans, _):
+        r = SOLVERS[solver](ps, OpCounter())
+    return (r.i, r.j, r.dist_sq.hex(), r.dc_used, sum(spans))
 
 
 PINS = {
@@ -359,7 +361,7 @@ def test_each_pair_evaluated_at_most_once(case, solver, monkeypatch):
 # At a = n - 1 the leftmost region holds two points and every other region
 # one.  A node never splits into more regions than that, so a = n - 1, n and
 # n + 5 must run the same sweep from the same leftmost pair: the same pairs
-# in the same order, hence the same spans.
+# in the same order, hence the same spans and strip sizes.
 LEFTMOST_SWEEP = {
     **{name: ps for name, ps in CORPUS.items() if len(ps) >= 3},
     **DEGENERATE,
@@ -375,7 +377,7 @@ def test_a_at_least_n_minus_1_runs_one_sweep(case):
     n = len(ps)
     rows = []
     for a in (n - 1, n, n + 5):
-        counter = OpCounter(scan_spans=[])
-        r = closest_pair_kway(ps, a, counter)
-        rows.append((r.i, r.j, r.dist_sq.hex(), r.dc_used, counter.scan_spans))
+        with differential.recorded_spans() as (spans, sizes):
+            r = closest_pair_kway(ps, a, OpCounter())
+        rows.append((r.i, r.j, r.dist_sq.hex(), r.dc_used, spans, sizes))
     assert rows[0] == rows[1] == rows[2]

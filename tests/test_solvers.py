@@ -21,6 +21,7 @@ from closepair.solvers import (
 
 from conftest import (
     coord_pairs,
+    differential,
     dyadic_pairs,
     oracle_min_dist_sq,
     point_set,
@@ -126,21 +127,26 @@ class TestStripScan:
 
     def test_split_compares_only_across_the_sides(self):
         # left run (0, 0), (0, 0.1); right run (0.05, 0.05): the two left
-        # points are never compared with each other
+        # points are never compared with each other, but the lower left point
+        # meets the right one, which then meets the upper
         ps = point_set([(0, 0), (0, 0.1), (0.05, 0.05)])
-        c = OpCounter(scan_spans=[])
-        best = strip_scan(*_strip(ps, [0, 1], [2]), (1.0, 7, 8), c)
+        c = OpCounter()
+        with differential.recorded_spans() as (spans, sizes):
+            best = solvers.strip_scan(*_strip(ps, [0, 1], [2]), (1.0, 7, 8), c)
         assert c.dc == 2
         assert best[0] == squared_distance(ps[0], ps[2], OpCounter())
         assert _pair(ps, best) == [0, 2]
-        assert len(c.scan_spans) == 3 and sum(c.scan_spans) == 2
+        assert (spans, sizes) == ([1, 1], [3])
 
     def test_records_spans_when_enabled(self):
+        # the upper left point is out of reach, so the right point's span is 0
+        # and only the strip size counts it
         ps = point_set([(0, 0), (0.1, 0.1), (0, 9)])
-        c = OpCounter(scan_spans=[])
-        strip_scan(*_strip(ps, [0, 2], [1]), (1.0, 7, 8), c)
-        assert len(c.scan_spans) == 3
-        assert sum(c.scan_spans) == c.dc == 1
+        c = OpCounter()
+        with differential.recorded_spans() as (spans, sizes):
+            solvers.strip_scan(*_strip(ps, [0, 2], [1]), (1.0, 7, 8), c)
+        assert (spans, sizes) == ([1], [3])
+        assert c.dc == 1
 
 
 class TestTwoWay:
@@ -231,12 +237,12 @@ class TestKWay:
     def test_a_equals_n_has_zero_local_cost(self):
         # the leftmost region holds two points and every other region one, so
         # every DC is either that region's one pair or a strip comparison, and
-        # the span log accounts for dc_used exactly
+        # the recorded spans account for dc_used exactly
         for seed in range(20):
             ps = gen_uniform_points(25, 1000 + seed)
-            c = OpCounter(scan_spans=[])
-            r = closest_pair_kway(ps, 25, c)
-            assert r.dc_used == 1 + sum(c.scan_spans)
+            with differential.recorded_spans() as (spans, _):
+                r = closest_pair_kway(ps, 25, OpCounter())
+            assert r.dc_used == 1 + sum(spans)
 
     def test_presort_cached_per_points_tuple(self):
         # the sorted view is reused while ``points`` stays the same tuple and
@@ -313,9 +319,9 @@ class TestCrossSolverProperties:
             lambda c: closest_pair_kway(ps, 3, c),
             lambda c: closest_pair_kway(ps, len(ps), c),
         ):
-            c = OpCounter(scan_spans=[])
-            run(c)
-            assert all(span <= 7 for span in c.scan_spans)
+            with differential.recorded_spans() as (spans, _):
+                run(OpCounter())
+            assert all(span <= 7 for span in spans)
 
 
 class TestFloatEdges:

@@ -11,19 +11,22 @@ points stay in the window, leave it slowly or leave it fast while the x and
 y orders disagree), with ``closest_pair_2way`` and with
 ``closest_pair_kway`` at every a in 2..n+2, and writes one row per solve to
 <out>:
-``(i, j, dist_sq.hex(), dc_used, nonzero scan spans in order)``.  It prints
+``(i, j, dist_sq.hex(), dc_used, nonzero scan spans in order)``, the spans
+as ``recorded_spans`` observes them from outside the solver.  It prints
 the row count, the number of mismatches, and the sha256 of <out>.  A solve
 mismatches when its distance differs from ``brute_force``'s, when its pair
 is not ``0 <= i < j < n``, or when its pair's squared distance is not its
 distance.  Two source trees that evaluate the same pairs in the same order
 print the same digest.  Exits 1 on any mismatch and 2 on a usage error.
 Standard library only.  The test suite imports ``corpus`` and ``run`` to
-gate on a fixed prefix of the corpus (``tests/test_differential.py``).
+gate on a fixed prefix of the corpus (``tests/test_differential.py``), and
+``recorded_spans`` to check the per-point scan bound.
 """
 
 import hashlib
 import random
 import sys
+from contextlib import contextmanager
 
 STYLES = ("uniform", "duplicates", "repeated x", "signed zeros", "grid", "two columns", "vertical line")
 
@@ -57,6 +60,59 @@ def corpus():
         yield [(rnd.random() * width, float(k)) for k in range(n)]
 
 
+@contextmanager
+def recorded_spans():
+    """Record the strip scans' spans while the block runs; yields ``(spans, sizes)``.
+
+    A strip point's span is the number of successors on the other side of
+    the line it is compared with.  The spans show the classical bound of 7
+    successors per point (Preparata & Shamos 1985, section 5.4): the solvers
+    scan only pairs across a line whose two sides are both already solved.
+    The solver does not log them.  Instead ``solvers.strip_scan`` and
+    ``solvers.squared_distance`` are swapped for wrappers, and restored when
+    the block ends, however it ends.  A span is a run of consecutive DCs
+    inside one ``strip_scan`` call whose first argument is the same ``Point``
+    object, as every DC of a strip point has that point first.  ``spans``
+    gets the nonzero spans in scan order, and ``sizes`` the length of each
+    call's strip, so a point compared with nothing adds to ``sizes`` only.
+    A set that holds one ``Point`` object twice can merge two spans.
+    """
+    from closepair import solvers
+
+    scan = solvers.strip_scan
+    measure = solvers.squared_distance
+    spans = []
+    sizes = []
+    outside = object()
+    head = outside
+
+    def scanning(strip, *args):
+        nonlocal head
+        sizes.append(len(strip))
+        head = None
+        try:
+            return scan(strip, *args)
+        finally:
+            head = outside
+
+    def measuring(p, q, counter):
+        nonlocal head
+        if head is not outside:
+            if p is not head:
+                head = p
+                spans.append(0)
+            spans[-1] += 1
+        return measure(p, q, counter)
+
+    solvers.strip_scan = scanning
+    solvers.squared_distance = measuring
+    try:
+        yield spans, sizes
+    finally:
+        solvers.strip_scan = scan
+        solvers.squared_distance = measure
+
+
 def run(cases, out):
     """Solve each ``(case, coords)`` of ``cases`` as described above, writing its rows to ``out``.
 
@@ -75,9 +131,8 @@ def run(cases, out):
         runs = [("2way", lambda c: closest_pair_2way(ps, c))]
         runs += [(f"a={a}", lambda c, a=a: closest_pair_kway(ps, a, c)) for a in range(2, n + 3)]
         for label, solve in runs:
-            counter = OpCounter(scan_spans=[])
-            r = solve(counter)
-            spans = [s for s in counter.scan_spans if s]
+            with recorded_spans() as (spans, _):
+                r = solve(OpCounter())
             mismatches += (
                 r.dist_sq != expected
                 or not 0 <= r.i < r.j < n

@@ -1,4 +1,4 @@
-"""Mutation run of the solver core, the point parser and the point constructor against their tests.
+"""Mutation run of the solver core, the point parser, the point constructor and the CLI's error paths.
 
 Usage: python3 tools/mutate.py <src>
 
@@ -6,11 +6,15 @@ Parses three files of <src>/closepair with ``ast`` and makes one mutant per
 site of a fixed operator set: ``<`` and ``<=`` swapped, ``>`` and ``>=``
 swapped, an int constant from 0 to 3 raised by one, ``break`` and
 ``continue`` swapped, a ``+ 1`` or ``- 1`` dropped, ``and`` and ``or``
-swapped, and a ``not`` dropped.  The targets and the tests each runs against:
+swapped, a ``not`` dropped, and one ``except`` clause of a ``try``
+dropped (the ``try`` becomes its body when that was its only clause).  The
+targets and the tests each runs against:
 
 - all of ``solvers.py``: ``tests/test_solver_pins.py`` and ``tests/test_solvers.py``;
 - ``parse_points_text`` in ``cli.py`` and ``Point.__init__`` in
-  ``geometry.py``: ``tests/test_cli.py`` and ``tests/test_geometry.py``.
+  ``geometry.py``: ``tests/test_cli.py`` and ``tests/test_geometry.py``;
+- ``_cmd_solve`` and ``main`` in ``cli.py``, the file errors and the
+  exit-code mapping: ``tests/test_cli.py``.
 
 Each mutant is written with ``ast.unparse`` into a copy of <src> in a
 temporary directory, next to copies of this repository's ``tests/`` and
@@ -43,6 +47,8 @@ TARGETS = (
     ("solvers.py", None, ("tests/test_solver_pins.py", "tests/test_solvers.py")),
     ("cli.py", "parse_points_text", PARSE_TESTS),
     ("geometry.py", "Point.__init__", PARSE_TESTS),
+    ("cli.py", "_cmd_solve", ("tests/test_cli.py",)),
+    ("cli.py", "main", ("tests/test_cli.py",)),
 )
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
@@ -115,6 +121,15 @@ class Mutator(ast.NodeTransformer):
         self.generic_visit(node)
         if isinstance(node.op, ast.Not) and self._hit(node, "drop not"):
             return node.operand
+        return node
+
+    def visit_Try(self, node):
+        self.generic_visit(node)
+        for handler in list(node.handlers):
+            if self._hit(handler, f"drop except {ast.unparse(handler.type) if handler.type else ''}"):
+                node.handlers.remove(handler)
+                if not node.handlers and not node.finalbody:
+                    return node.body + node.orelse
         return node
 
 
