@@ -1,10 +1,14 @@
 """Command-line surface: solve point files, run sweeps, trials, and model tables.
 
-All results go to stdout as deterministic LF-terminated text; diagnostics go
-to stderr.  Exit codes: 0 success, 2 input parse error, 3 invalid arguments
-or violated preconditions.  Binary64 values are printed in their shortest
-round-trip decimal form (integral values without a trailing ".0"), so output
-parses back to bit-identical floats.
+Each command computes its whole result and returns its output lines; only
+``main`` writes them, to stdout as deterministic LF-terminated text, so a
+failed command leaves stdout empty.  ``main`` also reports every error on
+stderr as one ``error:`` line.  Exit codes: 0 success, 2 unreadable or
+malformed input file, 3 invalid arguments or violated preconditions.  Point
+files are UTF-8; one leading byte-order mark is dropped, and a bad byte's
+position counts from the start of the file.  Binary64 values are printed in
+their shortest round-trip decimal form (integral values without a trailing
+".0"), so output parses back to bit-identical floats.
 """
 
 import argparse
@@ -21,11 +25,7 @@ USAGE_ERROR = 3
 
 
 class PointFileError(ValueError):
-    """A point file line that does not hold two finite numbers."""
-
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
+    """A point file that cannot be read, is not UTF-8, or has a line that does not hold two finite numbers."""
 
 
 def format_number(value: float) -> str:
@@ -48,28 +48,26 @@ def parse_points_text(text: str) -> PointSet:
             if not fields or fields[0].startswith("#"):
                 continue
             if len(fields) != 2:
-                raise PointFileError(lineno, f"expected two numbers, got {len(fields)} fields") from None
-            raise PointFileError(lineno, str(exc)) from exc
+                raise PointFileError(f"line {lineno}: expected two numbers, got {len(fields)} fields") from None
+            raise PointFileError(f"line {lineno}: {exc}") from exc
     return PointSet(pts)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     if args.algo == "kway":
         if args.a is None:
             raise ClosepairError("--a is required with --algo kway")
     elif args.a is not None:
         raise ClosepairError(f"--a is only valid with --algo kway, not {args.algo}")
     try:
-        # utf-8-sig drops a leading byte-order mark; one elsewhere stays text
-        with open(args.input, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(args.input, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return PARSE_ERROR
+        raise PointFileError(f"cannot read {args.input}: {exc}") from None
     except UnicodeDecodeError as exc:
-        print(f"error: {args.input} is not UTF-8 text: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    points = parse_points_text(text)
+        raise PointFileError(f"{args.input} is not UTF-8 text: {exc}") from None
+    # A leading byte-order mark is dropped; one elsewhere stays text.
+    points = parse_points_text(text.removeprefix("\ufeff"))
     counter = OpCounter()
     if args.algo == "brute":
         result = brute_force(points, counter)
@@ -80,47 +78,33 @@ def _cmd_solve(args) -> int:
         if args.a > n:
             print(f"note: a={args.a} exceeds n={n}, clamped to {n}", file=sys.stderr)
         result = closest_pair_kway(points, args.a, counter)
-    distance = format_number(final_distance(result.dist_sq))
-    sys.stdout.write(f"{result.i} {result.j} {distance} {result.dc_used}\n")
-    return 0
+    return [f"{result.i} {result.j} {format_number(final_distance(result.dist_sq))} {result.dc_used}"]
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     records = run_sweep(args.n, args.seed, args.a_min, args.a_max)
-    out = ["a,dc_count,distance"]
-    out.extend(f"{r.a},{r.dc_measured},{format_number(r.dist)}" for r in records)
-    sys.stdout.write("\n".join(out) + "\n")
-    return 0
+    return ["a,dc_count,distance", *(f"{r.a},{r.dc_measured},{format_number(r.dist)}" for r in records)]
 
 
-def _cmd_trials(args) -> int:
+def _cmd_trials(args):
     hist = run_trials(args.n, args.trials, args.seed, jobs=args.jobs)
-    out = ["a,wins"]
-    out.extend(f"{a},{hist.wins[a]}" for a in range(2, args.n + 1))
-    sys.stdout.write("\n".join(out) + "\n")
-    return 0
+    return ["a,wins", *(f"{a},{hist.wins[a]}" for a in range(2, args.n + 1))]
 
 
-def _cmd_model(args) -> int:
-    if args.n < 2 or not 2 <= args.a_min <= args.a_max <= args.n:
+def _cmd_model(args):
+    if not 2 <= args.a_min <= args.a_max <= args.n:
         raise InvalidPartition(
             f"need 2 <= a-min <= a-max <= n, got [{args.a_min}, {args.a_max}] with n={args.n}"
         )
-    out = ["a,strip_cost,local_cost,total"]
-    for a in range(args.a_min, args.a_max + 1):
-        c = analytic_total_cost(args.n, a)
-        out.append(
-            f"{a},{format_number(c.strip_cost)},{format_number(c.local_cost)},{format_number(c.total)}"
-        )
-    sys.stdout.write("\n".join(out) + "\n")
-    return 0
+    costs = (analytic_total_cost(args.n, a) for a in range(args.a_min, args.a_max + 1))
+    rows = (f"{c.a},{format_number(c.strip_cost)},{format_number(c.local_cost)},{format_number(c.total)}"
+            for c in costs)
+    return ["a,strip_cost,local_cost,total", *rows]
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     points = gen_uniform_points(args.n, args.seed)
-    for p in points:
-        sys.stdout.write(f"{format_number(p.x)} {format_number(p.y)}\n")
-    return 0
+    return (f"{format_number(p.x)} {format_number(p.y)}" for p in points)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,16 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except PointFileError as exc:
+        lines = args.func(args)
+    except (PointFileError, ClosepairError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    except ClosepairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return PARSE_ERROR if isinstance(exc, PointFileError) else USAGE_ERROR
+    sys.stdout.writelines(f"{line}\n" for line in lines)
+    return 0
 
 
 if __name__ == "__main__":

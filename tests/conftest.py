@@ -1,6 +1,5 @@
 import importlib.util
 import itertools
-import random
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -39,17 +38,6 @@ differential = _load_differential()
 
 def point_set(coords):
     return PointSet(Point(x, y) for x, y in coords)
-
-
-def tiny_x_coords(n, seed=5):
-    """``x = random() * 1e-9, y = k``: every point stays in the window while x and y orders disagree."""
-    rng = random.Random(seed)
-    return [(rng.random() * 1e-9, float(k)) for k in range(n)]
-
-
-def sliding_window_coords(n):
-    """``x = k / 64, y = (37 k) mod n``: about 100 in-window left points, one leaving per line."""
-    return [(k / 64, float((37 * k) % n)) for k in range(n)]
 
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)

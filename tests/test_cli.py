@@ -117,6 +117,54 @@ class TestParseErrorPins:
             f"error: cannot read {f}: [Errno 2] No such file or directory: '{f}'\n",
         )
 
+    def test_non_utf8_after_byte_order_mark(self, tmp_path, capsys):
+        # the bad byte's position counts from the start of the file, mark included
+        f = tmp_path / "p.txt"
+        f.write_bytes(b"\xef\xbb\xbf0 0\n\xff1 2\n")
+        assert run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys) == (
+            2,
+            "",
+            f"error: {f} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n",
+        )
+
+
+class TestErrorPathPins:
+    """Every subcommand's exit code, stdout and stderr on invalid arguments, byte for byte."""
+
+    CASES = {
+        "sweep a-min 1": (["sweep", "--n", "10", "--seed", "1", "--a-min", "1", "--a-max", "5"],
+                          "error: need 2 <= a_lo <= a_hi <= n, got [1, 5] with n=10\n"),
+        "sweep n 1": (["sweep", "--n", "1", "--seed", "1", "--a-min", "2", "--a-max", "2"],
+                      "error: need at least 2 points, got 1\n"),
+        "sweep a-max above n": (["sweep", "--n", "10", "--seed", "1", "--a-min", "2", "--a-max", "11"],
+                                "error: need 2 <= a_lo <= a_hi <= n, got [2, 11] with n=10\n"),
+        "trials n 1": (["trials", "--n", "1", "--trials", "5", "--seed", "0"],
+                       "error: need at least 2 points, got 1\n"),
+        "trials 0": (["trials", "--n", "5", "--trials", "0", "--seed", "0"],
+                     "error: trial count must be >= 1, got 0\n"),
+        "trials jobs 0": (["trials", "--n", "5", "--trials", "5", "--seed", "0", "--jobs", "0"],
+                          "error: job count must be >= 1, got 0\n"),
+        "model n 1": (["model", "--n", "1", "--a-min", "2", "--a-max", "2"],
+                      "error: need 2 <= a-min <= a-max <= n, got [2, 2] with n=1\n"),
+        "model a-max above n": (["model", "--n", "10", "--a-min", "2", "--a-max", "11"],
+                                "error: need 2 <= a-min <= a-max <= n, got [2, 11] with n=10\n"),
+        "model a-min above a-max": (["model", "--n", "10", "--a-min", "5", "--a-max", "4"],
+                                    "error: need 2 <= a-min <= a-max <= n, got [5, 4] with n=10\n"),
+        "gen n -1": (["gen", "--n", "-1", "--seed", "1"], "error: point count must be >= 0, got -1\n"),
+        "solve kway without a": (["solve", "--input", "{points}", "--algo", "kway"],
+                                 "error: --a is required with --algo kway\n"),
+        "solve brute with a": (["solve", "--input", "{points}", "--algo", "brute", "--a", "2"],
+                               "error: --a is only valid with --algo kway, not brute\n"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_output(self, case, tmp_path, capsys):
+        argv, err = self.CASES[case]
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n1 1\n")
+        argv = [str(f) if arg == "{points}" else arg for arg in argv]
+        assert run_cli(argv, capsys) == (3, "", err)
+
 
 class TestSolve:
     def test_brute_exact_line(self, tmp_path, capsys):

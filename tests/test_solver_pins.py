@@ -44,8 +44,6 @@ regions were solved inside their node's region loop.
 """
 
 import itertools
-import math
-import random
 
 import pytest
 
@@ -54,7 +52,7 @@ from closepair.experiments import gen_uniform_points
 from closepair.geometry import OpCounter, Point, PointSet
 from closepair.solvers import closest_pair_2way, closest_pair_kway
 
-from conftest import differential, sliding_window_coords, tiny_x_coords
+from conftest import differential
 
 
 def _coords(n, seed):
@@ -85,29 +83,13 @@ def _corpus():
 CORPUS = _corpus()
 
 
-def _degenerate_corpus(n=512, seed=1):
-    side = max(2, math.isqrt(n // 2))
-    cells = [(x, y) for x in range(side) for y in range(side)]
-    families = {
-        "two columns": [(k % 2, k) for k in range(n)],
-        "vertical line": [(0, k) for k in range(n)],
-        "duplicate grid": [cells[k % len(cells)] for k in range(n)],
-    }
-    rng = random.Random(seed)
-    out = {}
-    for name, coords in families.items():
-        rng.shuffle(coords)
-        ox, oy = rng.randint(-1000, 1000), rng.randint(-1000, 1000)
-        out[f"{name} n={n}"] = PointSet.from_coords((x + ox, y + oy) for x, y in coords)
-    return out
-
-
-DEGENERATE = _degenerate_corpus()
-
+DEGENERATE = {
+    f"{name} n=512": PointSet.from_coords(coords) for name, coords in differential.degenerate_coords().items()
+}
 
 # Drawn from its own generator, so the benchmark inputs above stay byte-identical.
-TINY_X = {"tiny x n=512": PointSet.from_coords(tiny_x_coords(512))}
-SLIDING_WINDOW = {"sliding window n=512": PointSet.from_coords(sliding_window_coords(512))}
+TINY_X = {"tiny x n=512": PointSet.from_coords(differential.tiny_x_coords(512))}
+SLIDING_WINDOW = {"sliding window n=512": PointSet.from_coords(differential.sliding_window_coords(512))}
 
 SOLVERS = {
     "2way": lambda ps, c: closest_pair_2way(ps, c),

@@ -25,8 +25,6 @@ from conftest import (
     dyadic_pairs,
     oracle_min_dist_sq,
     point_set,
-    sliding_window_coords,
-    tiny_x_coords,
 )
 
 point_lists = st.lists(coord_pairs, min_size=2, max_size=24)
@@ -353,6 +351,15 @@ class TestFloatEdges:
         assert ps[0] != ps[1]
         assert (r.i, r.j, r.dist_sq) == (0, 1, 0.0)
 
+    @pytest.mark.parametrize("a", [2, 3, 16, "n"])
+    @pytest.mark.parametrize("x", [1e308, -1e308, 1.7976931348623157e308])
+    def test_vertical_line_near_the_largest_float(self, x, a):
+        # Two neighbours' midpoint (x + x) / 2 overflows to inf here, which
+        # would skip every line: a line between points of one x sits on it.
+        ps = point_set([(x, y) for y in (0.0, 10.0, 11.0, 20.0, 35.0, 50.0, 51.5, 70.0)])
+        r = closest_pair_kway(ps, len(ps) if a == "n" else a, OpCounter())
+        assert r.dist_sq == brute_force(ps, OpCounter()).dist_sq == 1.0
+
 
 class TestStripWork:
     """Strip points handed to ``strip_scan`` grow about linearly on degenerate inputs.
@@ -365,7 +372,7 @@ class TestStripWork:
     FAMILIES = {
         "vertical line": lambda n: [(0.0, float(k)) for k in range(n)],
         "two columns": lambda n: [(float(k % 2), float(k)) for k in range(n)],
-        "sliding window": sliding_window_coords,
+        "sliding window": differential.sliding_window_coords,
     }
 
     @pytest.mark.parametrize("family", list(FAMILIES))
@@ -486,7 +493,7 @@ class TestSortWork:
     tending to 4x), where re-sorting each line took 1.4 s at n = 4,096.
     """
 
-    FAMILIES = {**TestStripWork.FAMILIES, "tiny x": tiny_x_coords}
+    FAMILIES = {**TestStripWork.FAMILIES, "tiny x": differential.tiny_x_coords}
 
     @pytest.mark.parametrize("family", list(FAMILIES))
     @pytest.mark.parametrize("a", [16, "n"])

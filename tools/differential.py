@@ -19,11 +19,15 @@ is not ``0 <= i < j < n``, or when its pair's squared distance is not its
 distance.  Two source trees that evaluate the same pairs in the same order
 print the same digest.  Exits 1 on any mismatch and 2 on a usage error.
 Standard library only.  The test suite imports ``corpus`` and ``run`` to
-gate on a fixed prefix of the corpus (``tests/test_differential.py``), and
-``recorded_spans`` to check the per-point scan bound.
+gate on a fixed prefix of the corpus (``tests/test_differential.py``),
+``recorded_spans`` to check the per-point scan bound, and the coordinates
+of the fixed degenerate inputs (``degenerate_coords``, ``tiny_x_coords``,
+``sliding_window_coords``), which ``tools/opcount.py`` and the solver pins
+share.
 """
 
 import hashlib
+import math
 import random
 import sys
 from contextlib import contextmanager
@@ -58,6 +62,39 @@ def corpus():
         n = rnd.randint(2, 60)
         width = rnd.choice((1e-9, 1.0, float(n)))
         yield [(rnd.random() * width, float(k)) for k in range(n)]
+
+
+def degenerate_coords(n=512):
+    """The inputs of the benchmark's ``degenerate_mix``, as ``{name: coords}``.
+
+    The families are two columns, a vertical line and a duplicate grid.
+    Each is shuffled and then translated by one ``random.Random(1)``, in
+    that order and one family after the other.
+    """
+    side = max(2, math.isqrt(n // 2))
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    families = {
+        "two columns": [(k % 2, k) for k in range(n)],
+        "vertical line": [(0, k) for k in range(n)],
+        "duplicate grid": [cells[k % len(cells)] for k in range(n)],
+    }
+    rng = random.Random(1)
+    for coords in families.values():
+        rng.shuffle(coords)
+        ox, oy = rng.randint(-1000, 1000), rng.randint(-1000, 1000)
+        coords[:] = [(x + ox, y + oy) for x, y in coords]
+    return families
+
+
+def tiny_x_coords(n):
+    """``x = random() * 1e-9, y = k``: every point stays in the window while x and y orders disagree."""
+    rng = random.Random(5)
+    return [(rng.random() * 1e-9, float(k)) for k in range(n)]
+
+
+def sliding_window_coords(n):
+    """``x = k / 64, y = (37 k) mod n``: about 100 in-window left points, one leaving per line."""
+    return [(k / 64, float((37 * k) % n)) for k in range(n)]
 
 
 @contextmanager

@@ -1,4 +1,4 @@
-"""Mutation run of the solver core, the point parser, the point constructor and the CLI's error paths.
+"""Mutation run of the solver core, the point parser, the point constructor and the CLI commands.
 
 Usage: python3 tools/mutate.py <src>
 
@@ -6,15 +6,18 @@ Parses three files of <src>/closepair with ``ast`` and makes one mutant per
 site of a fixed operator set: ``<`` and ``<=`` swapped, ``>`` and ``>=``
 swapped, an int constant from 0 to 3 raised by one, ``break`` and
 ``continue`` swapped, a ``+ 1`` or ``- 1`` dropped, ``and`` and ``or``
-swapped, a ``not`` dropped, and one ``except`` clause of a ``try``
-dropped (the ``try`` becomes its body when that was its only clause).  The
-targets and the tests each runs against:
+swapped, a ``not`` dropped, one ``except`` clause of a ``try`` dropped
+(the ``try`` becomes its body when that was its only clause), and a
+conditional expression ``A if C else B`` replaced by ``A`` and, as a
+second mutant, by ``B``.  The targets and the tests each runs against:
 
 - all of ``solvers.py``: ``tests/test_solver_pins.py`` and ``tests/test_solvers.py``;
 - ``parse_points_text`` in ``cli.py`` and ``Point.__init__`` in
   ``geometry.py``: ``tests/test_cli.py`` and ``tests/test_geometry.py``;
-- ``_cmd_solve`` and ``main`` in ``cli.py``, the file errors and the
-  exit-code mapping: ``tests/test_cli.py``.
+- the command handlers ``_cmd_solve``, ``_cmd_sweep``, ``_cmd_trials``,
+  ``_cmd_model`` and ``_cmd_gen`` and ``main`` in ``cli.py``, the file
+  errors, argument checks, output lines and the exit-code mapping:
+  ``tests/test_cli.py``.
 
 Each mutant is written with ``ast.unparse`` into a copy of <src> in a
 temporary directory, next to copies of this repository's ``tests/`` and
@@ -26,8 +29,8 @@ its output differs from the unmutated file's.  Prints each survivor with its
 file, line and column and whether the differential killed it, then one line
 of totals per file.  Writes nothing outside the temporary directory.  Exits
 1 when an unmutated file fails its tests or the differential, and 2 on a
-usage error.  Standard library only; a run of about 120 mutants takes about
-ten minutes on 2 vCPUs.
+usage error.  Standard library only; a run of about 140 mutants takes about
+15 minutes on 2 vCPUs.
 """
 
 import ast
@@ -47,8 +50,8 @@ TARGETS = (
     ("solvers.py", None, ("tests/test_solver_pins.py", "tests/test_solvers.py")),
     ("cli.py", "parse_points_text", PARSE_TESTS),
     ("geometry.py", "Point.__init__", PARSE_TESTS),
-    ("cli.py", "_cmd_solve", ("tests/test_cli.py",)),
-    ("cli.py", "main", ("tests/test_cli.py",)),
+    *(("cli.py", name, ("tests/test_cli.py",))
+      for name in ("_cmd_solve", "_cmd_sweep", "_cmd_trials", "_cmd_model", "_cmd_gen", "main")),
 )
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
@@ -121,6 +124,14 @@ class Mutator(ast.NodeTransformer):
         self.generic_visit(node)
         if isinstance(node.op, ast.Not) and self._hit(node, "drop not"):
             return node.operand
+        return node
+
+    def visit_IfExp(self, node):
+        self.generic_visit(node)
+        if self._hit(node, "if-else -> if"):
+            return node.body
+        if self._hit(node, "if-else -> else"):
+            return node.orelse
         return node
 
     def visit_Try(self, node):

@@ -24,35 +24,15 @@ at a = 2, 16 and n; and the n=512 degenerate inputs at a = 2, 16 and n: the
 three of the benchmark's ``degenerate_mix`` (two columns, vertical line,
 duplicate grid, shuffled and translated by ``random.Random(1)``), tiny x
 (``x = random() * 1e-9, y = k``, ``random.Random(5)``) and sliding window
-(``x = k / 64, y = (37 k) mod n``).  Standard library only; exits 2 on a
-usage error.
+(``x = k / 64, y = (37 k) mod n``), built by ``tools/differential.py``.
+Standard library only; exits 2 on a usage error.
 """
 
-import math
-import random
 import sys
 
+import differential
+
 COUNTED = ("solvers.py", "geometry.py")
-
-
-def degenerate(n=512):
-    side = max(2, math.isqrt(n // 2))
-    cells = [(x, y) for x in range(side) for y in range(side)]
-    families = {
-        "two columns": [(k % 2, k) for k in range(n)],
-        "vertical line": [(0, k) for k in range(n)],
-        "duplicate grid": [cells[k % len(cells)] for k in range(n)],
-    }
-    rng = random.Random(1)
-    out = {}
-    for name, coords in families.items():
-        rng.shuffle(coords)
-        ox, oy = rng.randint(-1000, 1000), rng.randint(-1000, 1000)
-        out[name] = [(x + ox, y + oy) for x, y in coords]
-    rng = random.Random(5)
-    out["tiny x"] = [(rng.random() * 1e-9, float(k)) for k in range(n)]
-    out["sliding window"] = [(k / 64, float((37 * k) % n)) for k in range(n)]
-    return out
 
 
 def count(run):
@@ -95,7 +75,12 @@ def main(argv):
     cases = [("sweeps n=50 seeds 1-5", lambda: [run_sweep(50, seed, 2, 50) for seed in range(1, 6)])]
     uniform = [(p.x, p.y) for p in gen_uniform_points(2048, 8)]
     cases += [(f"uniform n=2048 a={a}", solve(uniform, a)) for a in (2, 16, 2048)]
-    for name, coords in degenerate().items():
+    degenerate = {
+        **differential.degenerate_coords(),
+        "tiny x": differential.tiny_x_coords(512),
+        "sliding window": differential.sliding_window_coords(512),
+    }
+    for name, coords in degenerate.items():
         cases += [(f"{name} n=512 a={a}", solve(coords, a)) for a in (2, 16, 512)]
     total = 0
     for name, run in cases:
