@@ -81,7 +81,18 @@ def _cmd_solve(args):
     return [f"{result.i} {result.j} {format_number(final_distance(result.dist_sq))} {result.dc_used}"]
 
 
+def _check_a_range(args):
+    # ``sweep`` and ``model`` name their flags when the range is invalid.
+    if not 2 <= args.a_min <= args.a_max <= args.n:
+        raise InvalidPartition(
+            f"need 2 <= a-min <= a-max <= n, got [{args.a_min}, {args.a_max}] with n={args.n}"
+        )
+
+
 def _cmd_sweep(args):
+    # Too few points is ``run_sweep``'s own error, as it is for ``trials``.
+    if args.n >= 2:
+        _check_a_range(args)
     records = run_sweep(args.n, args.seed, args.a_min, args.a_max)
     return ["a,dc_count,distance", *(f"{r.a},{r.dc_measured},{format_number(r.dist)}" for r in records)]
 
@@ -92,10 +103,7 @@ def _cmd_trials(args):
 
 
 def _cmd_model(args):
-    if not 2 <= args.a_min <= args.a_max <= args.n:
-        raise InvalidPartition(
-            f"need 2 <= a-min <= a-max <= n, got [{args.a_min}, {args.a_max}] with n={args.n}"
-        )
+    _check_a_range(args)
     costs = (analytic_total_cost(args.n, a) for a in range(args.a_min, args.a_max + 1))
     rows = (f"{c.a},{format_number(c.strip_cost)},{format_number(c.local_cost)},{format_number(c.total)}"
             for c in costs)

@@ -56,13 +56,27 @@ def gen_uniform_points(n: int, seed: int) -> PointSet:
     return PointSet(pts)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SweepRecord:
-    """One partition parameter's measured cost on a fixed instance."""
+    """One partition parameter's measured cost on a fixed instance.
+
+    Frozen, with a constructor that stores through the slot descriptors, as
+    ``Point``'s does: a sweep builds one per partition parameter.
+    """
 
     a: int
     dc_measured: int
     dist: float
+
+    def __init__(self, a, dc_measured, dist):
+        _set_a(self, a)
+        _set_dc_measured(self, dc_measured)
+        _set_dist(self, dist)
+
+
+_set_a = SweepRecord.a.__set__
+_set_dc_measured = SweepRecord.dc_measured.__set__
+_set_dist = SweepRecord.dist.__set__
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,9 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     that was inserted once.  A bisection and a few bounded steps from each
     end of region t+1's y range then keep the left points within the window
     of that range; the rest meet nothing and are not passed to
-    ``strip_scan``.
+    ``strip_scan``.  A right run of one point, the plane sweep's usual line,
+    is its own y order and needs one bisection, as both its ends are the
+    point; a longer run is sorted and bisected at each end.
     Raises ``DistanceOverflow`` when even the closest squared distance is inf.
     """
     n = len(point_set)
@@ -256,7 +258,6 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
         # the left side is empty too, up to rounding: nothing can cross.
         if last == boundary:
             continue
-        right = sorted(rank[boundary:last])
         # Walk the left edge past carried points that left the window: each
         # step passes a point that was inserted once.
         gone = first
@@ -293,15 +294,22 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
         # meet a right point.  Both sides are solved, so left points are
         # pairwise at least the window apart and only a few lie within the
         # window of either end: bisect to each end, then step outward past them.
+        # A one-point run, the plane sweep's usual line, is already in y order
+        # and both its ends bisect to the same position.
+        if last - boundary == 1:
+            right = rank[boundary:last]
+            keep = stop = bisect_left(left, right[0])
+        else:
+            right = sorted(rank[boundary:last])
+            keep = bisect_left(left, right[0])
+            stop = bisect_left(left, right[-1], keep)
         low = ypts[right[0]].y
-        keep = bisect_left(left, right[0])
         while keep:
             dy = low - ypts[left[keep - 1]].y
             if dy * dy >= window:
                 break
             keep -= 1
         high = ypts[right[-1]].y
-        stop = bisect_left(left, right[-1], keep)
         while stop < len(left):
             dy = ypts[left[stop]].y - high
             if dy * dy >= window:

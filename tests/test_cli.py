@@ -133,11 +133,13 @@ class TestErrorPathPins:
 
     CASES = {
         "sweep a-min 1": (["sweep", "--n", "10", "--seed", "1", "--a-min", "1", "--a-max", "5"],
-                          "error: need 2 <= a_lo <= a_hi <= n, got [1, 5] with n=10\n"),
+                          "error: need 2 <= a-min <= a-max <= n, got [1, 5] with n=10\n"),
         "sweep n 1": (["sweep", "--n", "1", "--seed", "1", "--a-min", "2", "--a-max", "2"],
                       "error: need at least 2 points, got 1\n"),
+        "sweep n 2 a-min 1": (["sweep", "--n", "2", "--seed", "1", "--a-min", "1", "--a-max", "2"],
+                              "error: need 2 <= a-min <= a-max <= n, got [1, 2] with n=2\n"),
         "sweep a-max above n": (["sweep", "--n", "10", "--seed", "1", "--a-min", "2", "--a-max", "11"],
-                                "error: need 2 <= a_lo <= a_hi <= n, got [2, 11] with n=10\n"),
+                                "error: need 2 <= a-min <= a-max <= n, got [2, 11] with n=10\n"),
         "trials n 1": (["trials", "--n", "1", "--trials", "5", "--seed", "0"],
                        "error: need at least 2 points, got 1\n"),
         "trials 0": (["trials", "--n", "5", "--trials", "0", "--seed", "0"],

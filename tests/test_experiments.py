@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +103,50 @@ class TestRunSweep:
             run_sweep(n, 0, a_lo, a_hi)
 
 
+class TestSweepRecord:
+    """The sweep record behaves as a frozen dataclass, whatever builds it."""
+
+    def test_fields_and_keywords(self):
+        r = SweepRecord(5, 12, 0.5)
+        assert (r.a, r.dc_measured, r.dist) == (5, 12, 0.5)
+        assert SweepRecord(dist=0.5, dc_measured=12, a=5) == r
+        assert [f.name for f in dataclasses.fields(SweepRecord)] == ["a", "dc_measured", "dist"]
+        with pytest.raises(TypeError):
+            SweepRecord(5, 12)
+
+    def test_equality_and_hash(self):
+        r = SweepRecord(5, 12, 0.5)
+        assert r == SweepRecord(5, 12, 0.5)
+        assert hash(r) == hash(SweepRecord(5, 12, 0.5))
+        assert r != SweepRecord(5, 13, 0.5)
+        assert r != (5, 12, 0.5)
+        assert len({r, SweepRecord(5, 12, 0.5), SweepRecord(12, 5, 0.5)}) == 2
+
+    def test_repr(self):
+        assert repr(SweepRecord(2, 3, 0.125)) == "SweepRecord(a=2, dc_measured=3, dist=0.125)"
+
+    def test_replace(self):
+        r = SweepRecord(5, 12, 0.5)
+        assert dataclasses.replace(r, a=6) == SweepRecord(6, 12, 0.5)
+        assert r.a == 5
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        r = SweepRecord(7, 40, 3e-200)
+        q = pickle.loads(pickle.dumps(r, protocol))
+        assert type(q) is SweepRecord and q == r
+
+    @pytest.mark.parametrize("field", ["a", "dc_measured", "dist"])
+    def test_frozen(self, field):
+        r = SweepRecord(5, 12, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, field, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(r, field)
+        assert r == SweepRecord(5, 12, 0.5)
+        assert not hasattr(r, "__dict__")
+
+
 class TestArgminPartition:
     def test_simple_min(self):
         assert argmin_partition([SweepRecord(2, 90, 1.0), SweepRecord(3, 80, 1.0)]) == 3
@@ -173,6 +220,20 @@ class TestRunTrials:
         # two workers, each given one chunk of 2500 trials
         assert made == ([2, 2500] if workers > 1 else [])
         assert hist == run_trials(3, 5000, 9, jobs=1)
+
+    def test_default_runs_in_this_process(self, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} workers was made")
+
+        monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        assert sum(run_trials(5, 8, 2).wins.values()) == 8
+
+    def test_one_trial(self):
+        # the smallest valid trial count, on both sides of the worker check
+        winner = argmin_partition(run_sweep(4, splitmix64_mix(7), 2, 4))
+        for jobs in (1, 2):
+            assert run_trials(4, 1, 7, jobs=jobs).wins == {a: int(a == winner) for a in range(2, 5)}
 
     @pytest.mark.parametrize("n,trials,jobs", [(1, 5, 1), (5, 0, 1), (5, 5, 0)])
     def test_argument_errors(self, n, trials, jobs):

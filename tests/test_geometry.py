@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closepair.geometry import OpCounter, Point, PointSet, final_distance, squared_distance
+from closepair.geometry import ClosestPairResult, OpCounter, Point, PointSet, final_distance, squared_distance
 
 from conftest import coord_pairs, dyadic_pairs
 
@@ -173,3 +173,47 @@ class TestPointSet:
 class TestOpCounter:
     def test_starts_at_zero(self):
         assert OpCounter().dc == 0
+
+
+class TestClosestPairResult:
+    """The result record behaves as a frozen dataclass, whatever builds it."""
+
+    def test_fields_and_keywords(self):
+        r = ClosestPairResult(1, 4, 0.25, 7)
+        assert (r.i, r.j, r.dist_sq, r.dc_used) == (1, 4, 0.25, 7)
+        assert ClosestPairResult(dc_used=7, dist_sq=0.25, j=4, i=1) == r
+        assert [f.name for f in dataclasses.fields(ClosestPairResult)] == ["i", "j", "dist_sq", "dc_used"]
+        with pytest.raises(TypeError):
+            ClosestPairResult(1, 4, 0.25)
+
+    def test_equality_and_hash(self):
+        r = ClosestPairResult(1, 4, 0.25, 7)
+        assert r == ClosestPairResult(1, 4, 0.25, 7)
+        assert hash(r) == hash(ClosestPairResult(1, 4, 0.25, 7))
+        assert r != ClosestPairResult(1, 4, 0.25, 8)
+        assert r != (1, 4, 0.25, 7)
+        assert len({r, ClosestPairResult(1, 4, 0.25, 7), ClosestPairResult(4, 1, 0.25, 7)}) == 2
+
+    def test_repr(self):
+        assert repr(ClosestPairResult(0, 2, 1.5, 3)) == "ClosestPairResult(i=0, j=2, dist_sq=1.5, dc_used=3)"
+
+    def test_replace(self):
+        r = ClosestPairResult(1, 4, 0.25, 7)
+        assert dataclasses.replace(r, dc_used=9) == ClosestPairResult(1, 4, 0.25, 9)
+        assert r.dc_used == 7
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        r = ClosestPairResult(3, 5, 2e-300, 11)
+        q = pickle.loads(pickle.dumps(r, protocol))
+        assert type(q) is ClosestPairResult and q == r
+
+    @pytest.mark.parametrize("field", ["i", "j", "dist_sq", "dc_used"])
+    def test_frozen(self, field):
+        r = ClosestPairResult(1, 4, 0.25, 7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, field, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(r, field)
+        assert r == ClosestPairResult(1, 4, 0.25, 7)
+        assert not hasattr(r, "__dict__")

@@ -480,11 +480,14 @@ class TestSortWork:
     Neither the DC meter nor the strip-point count sees the y order a line is
     built from, so this counts it directly: every entry of every list that
     ``sorted`` orders (the presort's two sorts included) and one per
-    ``insort``.  Re-sorting a line's whole in-window left side made these
-    counts grow 4x per doubling of n at a = n.  The sizes start at 512: at
-    n = 256 = 16**2 every node below the top at a = 16 is a plane sweep, about
-    one entry per point, so the step to 512, where nodes of 32 split into
-    two-point regions that merge, reads 3.1x with no quadratic term in it.
+    ``insort``.  A one-point right run is already in y order and is not
+    sorted, so at a = n a line adds one insert unless its left run is found
+    afresh.  Re-sorting a line's whole in-window left side made these counts
+    grow 4x per doubling of n at a = n.  The sizes start at 512: at
+    n = 256 = 16**2 every node below the top at a = 16 is a plane sweep,
+    about one entry per point, so the step to 512, where nodes of 32 split
+    into two-point regions that merge, reads 3.3x with no quadratic term in
+    it.
 
     The pointer shift of a list insert or delete is not counted.  It is a
     memmove of up to n pointers, quadratic in total but cheap per point: on a
@@ -495,10 +498,10 @@ class TestSortWork:
 
     FAMILIES = {**TestStripWork.FAMILIES, "tiny x": differential.tiny_x_coords}
 
-    @pytest.mark.parametrize("family", list(FAMILIES))
-    @pytest.mark.parametrize("a", [16, "n"])
-    def test_sorted_entries_per_doubling(self, family, a, monkeypatch):
-        entries = [0]
+    @staticmethod
+    def count_sort_work(monkeypatch):
+        """Count sorted and inserted entries from now on; returns the ``[sorted, inserted]`` totals."""
+        entries = [0, 0]
 
         def counting_sorted(iterable, **kwargs):
             items = list(iterable)
@@ -506,21 +509,38 @@ class TestSortWork:
             return sorted(items, **kwargs)
 
         def counting_insort(seq, x):
-            entries[0] += 1
+            entries[1] += 1
             insort(seq, x)
 
         # A module global shadows the builtin ``sorted`` inside the module; a
         # core that does not import ``insort`` has no inserts to count.
         monkeypatch.setattr(solvers, "sorted", counting_sorted, raising=False)
         monkeypatch.setattr(solvers, "insort", counting_insort, raising=False)
+        return entries
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("a", [16, "n"])
+    def test_sorted_entries_per_doubling(self, family, a, monkeypatch):
+        entries = self.count_sort_work(monkeypatch)
         totals = []
         for n in (512, 1024, 2048):
-            entries[0] = 0
+            entries[:] = [0, 0]
             ps = point_set(self.FAMILIES[family](n))
             closest_pair_kway(ps, n if a == "n" else a, OpCounter())
-            totals.append(entries[0])
+            totals.append(sum(entries))
         assert totals[1] <= 2.5 * totals[0]
         assert totals[2] <= 2.5 * totals[1]
+
+    @pytest.mark.parametrize("family", ["vertical line", "two columns"])
+    def test_one_point_line_sorts_nothing(self, family, monkeypatch):
+        # At a = n every right run is one point, and here no left point
+        # leaves the window: the presort's two sorts of 512 entries and the
+        # first line's two-point left run are the only sorted entries, and
+        # each of the 509 later lines inserts the point that entered.
+        # Sorting every one-point right run as well read 1,536 sorted entries.
+        entries = self.count_sort_work(monkeypatch)
+        closest_pair_kway(point_set(self.FAMILIES[family](512)), 512, OpCounter())
+        assert entries == [1026, 509]
 
 
 class TestBalancedPartition:

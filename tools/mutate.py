@@ -1,8 +1,8 @@
-"""Mutation run of the solver core, the point parser, the point constructor and the CLI commands.
+"""Mutation run of the solver core, the point parser, the point constructor, the CLI commands and the harnesses.
 
 Usage: python3 tools/mutate.py <src>
 
-Parses three files of <src>/closepair with ``ast`` and makes one mutant per
+Parses four files of <src>/closepair with ``ast`` and makes one mutant per
 site of a fixed operator set: ``<`` and ``<=`` swapped, ``>`` and ``>=``
 swapped, an int constant from 0 to 3 raised by one, ``break`` and
 ``continue`` swapped, a ``+ 1`` or ``- 1`` dropped, ``and`` and ``or``
@@ -15,9 +15,12 @@ second mutant, by ``B``.  The targets and the tests each runs against:
 - ``parse_points_text`` in ``cli.py`` and ``Point.__init__`` in
   ``geometry.py``: ``tests/test_cli.py`` and ``tests/test_geometry.py``;
 - the command handlers ``_cmd_solve``, ``_cmd_sweep``, ``_cmd_trials``,
-  ``_cmd_model`` and ``_cmd_gen`` and ``main`` in ``cli.py``, the file
-  errors, argument checks, output lines and the exit-code mapping:
-  ``tests/test_cli.py``.
+  ``_cmd_model`` and ``_cmd_gen``, the range check ``_check_a_range`` and
+  ``main`` in ``cli.py``, the file errors, argument checks, output lines
+  and the exit-code mapping: ``tests/test_cli.py``;
+- ``run_sweep``, ``argmin_partition`` and ``run_trials`` in
+  ``experiments.py``, the harnesses' argument checks, tie rule and worker
+  count: ``tests/test_experiments.py`` and ``tests/test_cli.py``.
 
 Each mutant is written with ``ast.unparse`` into a copy of <src> in a
 temporary directory, next to copies of this repository's ``tests/`` and
@@ -25,12 +28,13 @@ temporary directory, next to copies of this repository's ``tests/`` and
 fails them, or runs more than three times as long as the unmutated file plus
 10 s (a swapped ``break`` often never ends), is killed.  Each survivor then
 runs the differential; it is killed there when the run reports a mismatch or
-its output differs from the unmutated file's.  Prints each survivor with its
+its output differs from the unmutated file's.  The unmutated file runs each
+of its test sets once and the differential once, however many targets share
+it, and a target with no site runs nothing.  Prints each survivor with its
 file, line and column and whether the differential killed it, then one line
-of totals per file.  Writes nothing outside the temporary directory.  Exits
-1 when an unmutated file fails its tests or the differential, and 2 on a
-usage error.  Standard library only; a run of about 140 mutants takes about
-15 minutes on 2 vCPUs.
+of totals per target.  Writes nothing outside the temporary directory.
+Exits 1 when an unmutated file fails its tests or the differential, and 2 on
+a usage error.  Standard library only.
 """
 
 import ast
@@ -51,7 +55,9 @@ TARGETS = (
     ("cli.py", "parse_points_text", PARSE_TESTS),
     ("geometry.py", "Point.__init__", PARSE_TESTS),
     *(("cli.py", name, ("tests/test_cli.py",))
-      for name in ("_cmd_solve", "_cmd_sweep", "_cmd_trials", "_cmd_model", "_cmd_gen", "main")),
+      for name in ("_cmd_solve", "_cmd_sweep", "_cmd_trials", "_check_a_range", "_cmd_model", "_cmd_gen", "main")),
+    *(("experiments.py", name, ("tests/test_experiments.py", "tests/test_cli.py"))
+      for name in ("run_sweep", "argmin_partition", "run_trials")),
 )
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
@@ -162,37 +168,46 @@ def run(command, cwd, timeout):
     return code, time.perf_counter() - began
 
 
-def mutate_file(work, name, scope, tests):
+def mutate_file(work, name, scope, tests, plain_runs):
     """Run every mutant of ``name`` (only ``scope`` in it, if given) in the copy at ``work``.
 
     Prints each survivor as it is found and returns the totals line, or
     None when the unmutated file fails its tests or the differential.  The
-    file is restored before returning.
+    file is restored before returning.  ``plain_runs`` remembers the
+    unmutated file's runs across calls: ``(name, tests)`` maps to the test
+    seconds and ``name`` to the differential seconds and output, or either
+    to None when that run failed.
     """
     target = work / "src" / "closepair" / name
     source = target.read_text()
     lines = source.splitlines()
-    tests = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     differential = [sys.executable, "tools/differential.py", "src", "out.txt"]
+    killed = timeouts = by_differential = 0
+    # The unmutated file, unparsed like every mutant, sets the time limits
+    # and the differential output each survivor must match.  Its text does
+    # not depend on the scope, so one run serves every target of the file,
+    # and a target with no site needs none.
+    plain, sites = mutant(source, -1, scope)
     try:
-        # The unmutated file, unparsed like every mutant, sets the time
-        # limits and the differential output each survivor must match.
-        plain, sites = mutant(source, -1, scope)
-        target.write_text(plain)
-        test_code, test_s = run(tests, work, None)
-        diff_code, diff_s = run(differential, work, None)
-        if test_code or diff_code:
-            return None
-        reference = (work / "out.txt").read_bytes()
-
-        killed = timeouts = by_differential = 0
+        if sites:
+            target.write_text(plain)
+            if (name, tests) not in plain_runs:
+                code, seconds = run(command, work, None)
+                plain_runs[name, tests] = None if code else seconds
+            if name not in plain_runs:
+                code, seconds = run(differential, work, None)
+                plain_runs[name] = None if code else (seconds, (work / "out.txt").read_bytes())
+            if None in (plain_runs[name, tests], plain_runs[name]):
+                return None
         for k, (line, column, change) in enumerate(sites):
             target.write_text(mutant(source, k, scope)[0])
-            code, _ = run(tests, work, 3 * test_s + 10)
+            code, _ = run(command, work, 3 * plain_runs[name, tests] + 10)
             if code != 0:
                 killed += 1
                 timeouts += code is None
                 continue
+            diff_s, reference = plain_runs[name]
             code, _ = run(differential, work, 3 * diff_s + 10)
             caught = code != 0 or (work / "out.txt").read_bytes() != reference
             by_differential += caught
@@ -219,8 +234,9 @@ def main(argv):
         shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
         (work / "tools").mkdir()
         shutil.copy(ROOT / "tools" / "differential.py", work / "tools")
+        plain_runs = {}
         for name, scope, tests in TARGETS:
-            line = mutate_file(work, name, scope, tests)
+            line = mutate_file(work, name, scope, tests, plain_runs)
             if line is None:
                 print(f"the unmutated {name} fails its tests or the differential", file=sys.stderr)
                 return 1
