@@ -74,10 +74,11 @@ def _cmd_solve(args):
     elif args.algo == "two":
         result = closest_pair_2way(points, counter)
     else:
+        result = closest_pair_kway(points, args.a, counter)
+        # Noted only once the solve has run: a failed solve clamped nothing.
         n = len(points)
         if args.a > n:
             print(f"note: a={args.a} exceeds n={n}, clamped to {n}", file=sys.stderr)
-        result = closest_pair_kway(points, args.a, counter)
     return [f"{result.i} {result.j} {format_number(final_distance(result.dist_sq))} {result.dc_used}"]
 
 

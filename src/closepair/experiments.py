@@ -56,27 +56,13 @@ def gen_uniform_points(n: int, seed: int) -> PointSet:
     return PointSet(pts)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
-    """One partition parameter's measured cost on a fixed instance.
-
-    Frozen, with a constructor that stores through the slot descriptors, as
-    ``Point``'s does: a sweep builds one per partition parameter.
-    """
+    """One partition parameter's measured cost on a fixed instance."""
 
     a: int
     dc_measured: int
     dist: float
-
-    def __init__(self, a, dc_measured, dist):
-        _set_a(self, a)
-        _set_dc_measured(self, dc_measured)
-        _set_dist(self, dist)
-
-
-_set_a = SweepRecord.a.__set__
-_set_dc_measured = SweepRecord.dc_measured.__set__
-_set_dist = SweepRecord.dist.__set__
 
 
 @dataclass(frozen=True)
@@ -107,13 +93,7 @@ def argmin_partition(records) -> int:
     """The a with the smallest measured count; ties go to the largest a."""
     if not records:
         raise EmptySweep("no sweep records to take an argmin over")
-    best = records[0]
-    for rec in records[1:]:
-        if rec.dc_measured < best.dc_measured or (
-            rec.dc_measured == best.dc_measured and rec.a > best.a
-        ):
-            best = rec
-    return best.a
+    return min(records, key=lambda r: (r.dc_measured, -r.a)).a
 
 
 def run_trials(n: int, trials: int, base_seed: int, jobs: int = 1) -> TrialHistogram:

@@ -84,31 +84,14 @@ class OpCounter:
     dc: int = 0
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class ClosestPairResult:
-    """Winning index pair, its squared distance, and the DCs spent finding it.
-
-    Frozen, with a constructor written out as ``Point``'s is: every solve
-    builds one, and storing through the slot descriptors skips the frozen
-    ``__setattr__`` that the generated one calls per field.
-    """
+    """Winning index pair, its squared distance, and the DCs spent finding it."""
 
     i: int
     j: int
     dist_sq: float
     dc_used: int
-
-    def __init__(self, i, j, dist_sq, dc_used):
-        _set_i(self, i)
-        _set_j(self, j)
-        _set_dist_sq(self, dist_sq)
-        _set_dc_used(self, dc_used)
-
-
-_set_i = ClosestPairResult.i.__set__
-_set_j = ClosestPairResult.j.__set__
-_set_dist_sq = ClosestPairResult.dist_sq.__set__
-_set_dc_used = ClosestPairResult.dc_used.__set__
 
 
 def squared_distance(p: Point, q: Point, counter: OpCounter) -> float:

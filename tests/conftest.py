@@ -23,17 +23,19 @@ def oracle_min_dist_sq(points):
     return best
 
 
-def _load_differential():
-    # tools/ is not a package: load the differential tool from its file, so
-    # that its tier-1 gate and the tie pins share the tool's corpus and rows.
-    path = Path(__file__).resolve().parents[1] / "tools" / "differential.py"
-    spec = importlib.util.spec_from_file_location("differential", path)
+def _load(relative):
+    # tools/ and bench/ are not packages: load a module from its file, so
+    # that the differential's tier-1 gate and the tie pins share the tool's
+    # corpus and rows, and the large-input gate shares the benchmark's oracle.
+    path = Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-differential = _load_differential()
+differential = _load("tools/differential.py")
+workloads = _load("bench/workloads.py")
 
 
 def point_set(coords):

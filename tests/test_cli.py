@@ -252,6 +252,13 @@ class TestSolve:
         f.write_text("0 0\n1 0\n2 0\n")
         assert run_cli(["solve", "--input", str(f), "--algo", "kway", "--a", str(a)], capsys) == (0, "0 1 1 3\n", err)
 
+    @pytest.mark.parametrize("text, n", [("0 0\n", 1), ("", 0)], ids=["one point", "empty"])
+    def test_no_clamp_note_before_an_error(self, text, n, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text(text)
+        expected = (3, "", f"error: need at least 2 points, got {n}\n")
+        assert run_cli(["solve", "--input", str(f), "--algo", "kway", "--a", "5"], capsys) == expected
+
 
 class TestSweep:
     def test_shape_and_constant_distance(self, capsys):

@@ -25,6 +25,7 @@ from conftest import (
     dyadic_pairs,
     oracle_min_dist_sq,
     point_set,
+    workloads,
 )
 
 point_lists = st.lists(coord_pairs, min_size=2, max_size=24)
@@ -320,6 +321,41 @@ class TestCrossSolverProperties:
             with differential.recorded_spans() as (spans, _):
                 run(OpCounter())
             assert all(span <= 7 for span in spans)
+
+
+def large_inputs():
+    for n in (512, 2048):
+        yield f"uniform n={n}", [(p.x, p.y) for p in gen_uniform_points(n, 1)]
+        for name, coords in differential.degenerate_coords(n).items():
+            yield f"{name} n={n}", coords
+        yield f"tiny x n={n}", differential.tiny_x_coords(n)
+        yield f"sliding window n={n}", differential.sliding_window_coords(n)
+
+
+LARGE_INPUTS = dict(large_inputs())
+
+
+class TestExactnessAboveN64:
+    """Every solver's answer above n = 64, where the brute-force oracle is too slow.
+
+    Multi-level recursion and long carried left lists only run at these
+    sizes.  The oracle is the benchmark's ``grid_closest_dist_sq``, which
+    does not import the package.
+    """
+
+    @pytest.mark.parametrize("name", LARGE_INPUTS)
+    def test_matches_grid_oracle(self, name):
+        ps = PointSet.from_coords(LARGE_INPUTS[name])
+        xy = [(p.x, p.y) for p in ps]
+        n = len(xy)
+        expected = workloads.grid_closest_dist_sq(xy)
+        results = {"2way": closest_pair_2way(ps, OpCounter())}
+        for a in (2, 3, 16, math.isqrt(n), n - 1, n):
+            results[f"kway a={a}"] = closest_pair_kway(ps, a, OpCounter())
+        for solver, r in results.items():
+            assert r.dist_sq.hex() == expected.hex(), solver
+            assert 0 <= r.i < r.j < n, solver
+            assert workloads.squared(xy[r.i], xy[r.j]) == r.dist_sq, solver
 
 
 class TestFloatEdges:

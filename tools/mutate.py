@@ -23,10 +23,11 @@ second mutant, by ``B``.  The targets and the tests each runs against:
   count: ``tests/test_experiments.py`` and ``tests/test_cli.py``.
 
 Each mutant is written with ``ast.unparse`` into a copy of <src> in a
-temporary directory, next to copies of this repository's ``tests/`` and
-``tools/differential.py``, and its tests run against it.  A mutant that
-fails them, or runs more than three times as long as the unmutated file plus
-10 s (a swapped ``break`` often never ends), is killed.  Each survivor then
+temporary directory, next to copies of this repository's ``tests/``,
+``tools/differential.py`` and ``bench/workloads.py``, which the tests load,
+and its tests run against it.  A mutant that fails them, or runs more than
+three times as long as the unmutated file plus 10 s (a swapped ``break``
+often never ends), is killed.  Each survivor then
 runs the differential; it is killed there when the run reports a mismatch or
 its output differs from the unmutated file's.  The unmutated file runs each
 of its test sets once and the differential once, however many targets share
@@ -234,6 +235,8 @@ def main(argv):
         shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
         (work / "tools").mkdir()
         shutil.copy(ROOT / "tools" / "differential.py", work / "tools")
+        (work / "bench").mkdir()
+        shutil.copy(ROOT / "bench" / "workloads.py", work / "bench")
         plain_runs = {}
         for name, scope, tests in TARGETS:
             line = mutate_file(work, name, scope, tests, plain_runs)

@@ -4,20 +4,17 @@ Usage: python3 tools/opcount.py <src>
 
 Imports ``closepair`` from the source directory <src>, runs each case below
 under ``sys.settrace`` with per-opcode events, and prints one line per case:
-its name and the number of opcodes executed in frames of ``solvers.py`` and
-``geometry.py`` (builtins such as ``sorted`` count as the one call opcode that
-invokes them).  The last line is the total.  Counts depend only on the code
-and the Python version, not on the machine's load, so two source trees can
-be compared case by case where wall time is too noisy to tell.
+its name and the number of opcodes executed in frames of the modules
+``closepair.solvers`` and ``closepair.geometry`` (builtins such as ``sorted``
+count as the one call opcode that invokes them).  The last line is the total.
+Counts depend only on the code and the Python version, not on the machine's
+load, so two source trees can be compared case by case where wall time is too
+noisy to tell.
 
-Code compiled from a string is not seen: its frames have the file name
-``<string>``.  The ``__init__`` that ``dataclass`` generates is such code, so
-a tree whose ``Point`` used it counted only ``__post_init__``, and a
-hand-written ``Point.__init__`` in ``geometry.py`` counts in full.  Moving
-that work into view can raise a case whose wall time falls: the ``sweeps``
-case, which builds its points inside the count, read +7,070 ops (+0.29%)
-when ``Point`` got its own ``__init__`` and ``_solve`` a per-node check,
-while a 65,536-point construction took half the time.
+Frames are selected by their globals' ``__name__``, not by file name: the
+methods ``dataclass`` generates, such as ``ClosestPairResult.__init__``, are
+compiled from a string (file ``<string>``) but run in their class's module,
+so they count.
 
 Cases: five n=50 sweeps (seeds 1 to 5, a = 2..50); uniform n=2,048 (seed 8)
 at a = 2, 16 and n; and the n=512 degenerate inputs at a = 2, 16 and n: the
@@ -32,11 +29,11 @@ import sys
 
 import differential
 
-COUNTED = ("solvers.py", "geometry.py")
+COUNTED = ("closepair.solvers", "closepair.geometry")
 
 
 def count(run):
-    """Opcodes executed in the counted files while ``run()`` runs."""
+    """Opcodes executed in the counted modules while ``run()`` runs."""
     ops = [0]
 
     def local(frame, event, arg):
@@ -45,7 +42,7 @@ def count(run):
         return local
 
     def calls(frame, event, arg):
-        if frame.f_code.co_filename.endswith(COUNTED):
+        if frame.f_globals.get("__name__") in COUNTED:
             frame.f_trace_opcodes = True
             return local
         return None
