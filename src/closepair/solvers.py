@@ -126,21 +126,24 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     Region t+1's run is the whole region when its far end is in the window,
     and is otherwise found by a walk right from the line that stops at the
     far end at the latest; a line with none is skipped, as the window is
-    symmetric about the line.  The in-window run left of the line only loses
-    points from its left end as the sweep moves right, and its y order is
-    carried from line to line: the left edge walks forward past carried
-    points that have left the window, which are deleted, and the region that
-    entered is inserted (one point) or merged in (more).  Only when every
-    carried point has left is the run found afresh, by testing its far end
-    (the first position not carried) and, if that is out, walking back from
-    the line, and then sorted.  Every walk step is paid for: a right or
-    backward step is one entry of a sort, and a forward step passes a point
-    that was inserted once.  A bisection and a few bounded steps from each
-    end of region t+1's y range then keep the left points within the window
-    of that range; the rest meet nothing and are not passed to
-    ``strip_scan``.  A right run of one point, the plane sweep's usual line,
-    is its own y order and needs one bisection, as both its ends are the
-    point; a longer run is sorted and bisected at each end.
+    symmetric about the line.  The walk starts at the x of region t+1's
+    first point, which placed the line, so a one-point region out of the
+    window is skipped with no x read twice.  The in-window run left of the
+    line only loses points from its left end as the sweep moves right, and
+    its y order is carried from line to line: the left edge walks forward
+    past carried points that have left the window, which are deleted, and
+    the region that entered is inserted (one point) or merged in (more).
+    Only when every carried point has left is the run found afresh, by
+    testing its far end (the first position not carried) and, if that is
+    out, walking back from the line, and then sorted.  Every walk step is
+    paid for: a right or backward step is one entry of a sort, and a forward
+    step passes a point that was inserted once.  A bisection and a few
+    bounded steps from each end of region t+1's y range then keep the left
+    points within the window of that range; the rest meet nothing and are
+    not passed to ``strip_scan``.  A right run of one point, the plane
+    sweep's usual line, is its own y order and needs one bisection and one
+    y, as both its ends are the point; a longer run is sorted and bisected
+    at each end.
     Raises ``DistanceOverflow`` when even the closest squared distance is inf.
     """
     n = len(point_set)
@@ -168,13 +171,6 @@ def balanced_partition(lo: int, hi: int, regions: int) -> list:
     # r runs of q + 1 points, then regions - r runs of q points
     mid = lo + r * (q + 1)
     return [*range(lo + q + 1, mid + 1, q + 1), *range(mid + q, hi + 1, q)]
-
-
-def dividing_x(xs, stop: int) -> float:
-    """x of the line left of sorted position ``stop``: its neighbours' midpoint or shared x."""
-    xl = xs[stop - 1]
-    xr = xs[stop]
-    return xl if xl == xr else (xl + xr) / 2.0
 
 
 def _presort(point_set):
@@ -214,7 +210,8 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
     # pair.
     stops = [hi] if m <= 3 else balanced_partition(lo, hi, min(a, m - 1))
     best = (math.inf, -1, -1)
-    for start, stop in zip([lo, *stops], stops):
+    start = lo
+    for stop in stops:
         if stop - start > 1:
             if stop - start > 3:
                 sub = _solve(xs, rank, ypts, start, stop, a, counter)
@@ -227,6 +224,7 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
                     d = squared_distance(ypts[r], ypts[s], counter)
                     if d < best[0]:
                         best = (d, r, s)
+        start = stop
     # Only a strictly closer pair replaces the minimum, so once it is 0 no
     # line can keep anything.
     if best[0] == 0:
@@ -239,21 +237,25 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
     # ``left`` carries the y-ranks of positions [first, held) from line to line.
     first = held = lo
     for boundary, end in zip(stops, stops[1:]):
-        x_line = dividing_x(xs, boundary)
+        # The line lies between positions boundary - 1 and boundary, at
+        # their midpoint, or on their x when they share it: the midpoint of
+        # two equal x values near the largest float overflows.
+        xl = xs[boundary - 1]
+        xr = xs[boundary]
+        x_line = xl if xl == xr else (xl + xr) / 2.0
         window = best[0]
-        # The line lies between positions boundary - 1 and boundary, so dx
-        # only grows rightward: if the right region's far end is in the
-        # window, all of it is.  Otherwise walk right from the line; the far
-        # end is out, so the walk stops there at the latest.
+        # dx only grows rightward: if the right region's far end is in the
+        # window, all of it is.  Otherwise walk right from the line, starting
+        # at the x just read; the far end is out, so the walk stops there at
+        # the latest.
         last = end
         dx = xs[end - 1] - x_line
         if dx * dx >= window:
             last = boundary
-            while True:
-                dx = xs[last] - x_line
-                if dx * dx >= window:
-                    break
+            dx = xr - x_line
+            while dx * dx < window:
                 last += 1
+                dx = xs[last] - x_line
         # The window is symmetric about the line, so with no right point in it
         # the left side is empty too, up to rounding: nothing can cross.
         if last == boundary:
@@ -267,10 +269,12 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
                 break
             first += 1
         if first < held:
-            # Delete the points that left the window, then add the regions
-            # that entered it: one point by insertion, more by one merge.
-            for r in rank[gone:first]:
-                del left[bisect_left(left, r)]
+            # Delete the points that left the window, if any, then add the
+            # regions that entered it: one point by insertion, more by one
+            # merge.
+            if first != gone:
+                for r in rank[gone:first]:
+                    del left[bisect_left(left, r)]
             if boundary - held == 1:
                 insort(left, rank[held])
             else:
@@ -295,21 +299,22 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
         # pairwise at least the window apart and only a few lie within the
         # window of either end: bisect to each end, then step outward past them.
         # A one-point run, the plane sweep's usual line, is already in y order
-        # and both its ends bisect to the same position.
+        # and both its ends are its point: one bisection and one y.
         if last - boundary == 1:
             right = rank[boundary:last]
             keep = stop = bisect_left(left, right[0])
+            low = high = ypts[right[0]].y
         else:
             right = sorted(rank[boundary:last])
             keep = bisect_left(left, right[0])
             stop = bisect_left(left, right[-1], keep)
-        low = ypts[right[0]].y
+            low = ypts[right[0]].y
+            high = ypts[right[-1]].y
         while keep:
             dy = low - ypts[left[keep - 1]].y
             if dy * dy >= window:
                 break
             keep -= 1
-        high = ypts[right[-1]].y
         while stop < len(left):
             dy = ypts[left[stop]].y - high
             if dy * dy >= window:

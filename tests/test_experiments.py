@@ -146,6 +146,16 @@ class TestSweepRecord:
         assert r == SweepRecord(5, 12, 0.5)
         assert not hasattr(r, "__dict__")
 
+    def test_unknown_attribute(self):
+        # TypeError on Python 3.11, as for ``Point`` (tests/test_geometry.py)
+        r = SweepRecord(5, 12, 0.5)
+        with pytest.raises((TypeError, AttributeError)):
+            r.z = 1
+        with pytest.raises((TypeError, AttributeError)):
+            del r.z
+        assert r == SweepRecord(5, 12, 0.5)
+        assert not hasattr(r, "z")
+
 
 class TestArgminPartition:
     def test_simple_min(self):

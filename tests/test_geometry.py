@@ -100,6 +100,18 @@ class TestPoint:
         assert (p.x, p.y) == (1.0, 2.0)
         assert not hasattr(p, "__dict__")
 
+    def test_unknown_attribute(self):
+        # Python 3.11's frozen slotted dataclass raises TypeError here (a
+        # CPython bug in its generated __setattr__); later versions raise
+        # FrozenInstanceError, an AttributeError.
+        p = Point(1.0, 2.0)
+        with pytest.raises((TypeError, AttributeError)):
+            p.z = 1
+        with pytest.raises((TypeError, AttributeError)):
+            del p.z
+        assert (p.x, p.y) == (1.0, 2.0)
+        assert not hasattr(p, "z")
+
     def test_equality_and_hash(self):
         assert Point(1, 2) == Point(1.0, 2.0)
         assert hash(Point(1, 2)) == hash(Point(1.0, 2.0))
@@ -217,3 +229,13 @@ class TestClosestPairResult:
             delattr(r, field)
         assert r == ClosestPairResult(1, 4, 0.25, 7)
         assert not hasattr(r, "__dict__")
+
+    def test_unknown_attribute(self):
+        # TypeError on Python 3.11, as for ``Point``
+        r = ClosestPairResult(1, 4, 0.25, 7)
+        with pytest.raises((TypeError, AttributeError)):
+            r.z = 1
+        with pytest.raises((TypeError, AttributeError)):
+            del r.z
+        assert r == ClosestPairResult(1, 4, 0.25, 7)
+        assert not hasattr(r, "z")

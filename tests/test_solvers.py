@@ -15,7 +15,6 @@ from closepair.solvers import (
     brute_force,
     closest_pair_2way,
     closest_pair_kway,
-    dividing_x,
     strip_scan,
 )
 
@@ -441,38 +440,62 @@ class TestWindowWork:
     Walking the whole right region instead read, on either family, 11.0 and
     13.0 x values per line at a = 2 and n = 512 and 2,048, and 6.8 and 6.0
     at a = 16; at a = n, with one point per right region, it read 4.0.
+    When the far end is out of the window, the walk right starts at the x
+    of the point just right of the line, which placed the line, so a
+    one-point right region out of the window costs three reads in all.
     """
 
     FAMILIES = {family: TestStripWork.FAMILIES[family] for family in ("vertical line", "two columns")}
 
-    @pytest.mark.parametrize("family", list(FAMILIES))
-    @pytest.mark.parametrize("n", [512, 2048])
-    @pytest.mark.parametrize("a", [2, 16, "n"])
-    def test_x_reads_per_line(self, family, n, a, monkeypatch):
-        reads = [0]
-        lines = [0]
+    @staticmethod
+    def count_x_reads(monkeypatch):
+        """Count x reads and lines from now on; returns the ``[reads, lines]`` totals.
+
+        The x values are wrapped in a counting list as they leave the
+        presort, and each node's lines are its partition's stops but one.
+        """
+        counts = [0, 0]
 
         class CountingList(list):
             def __getitem__(self, k):
-                reads[0] += 1
+                counts[0] += 1
                 return super().__getitem__(k)
 
         presort = solvers._presort
-        place = solvers.dividing_x
+        partition = solvers.balanced_partition
 
         def counting_presort(ps):
             xs, *rest = presort(ps)
             return (CountingList(xs), *rest)
 
-        def counting_dividing_x(xs, stop):
-            lines[0] += 1
-            return place(xs, stop)
+        def counting_partition(lo, hi, regions):
+            stops = partition(lo, hi, regions)
+            counts[1] += len(stops) - 1
+            return stops
 
         monkeypatch.setattr(solvers, "_presort", counting_presort)
-        monkeypatch.setattr(solvers, "dividing_x", counting_dividing_x)
+        monkeypatch.setattr(solvers, "balanced_partition", counting_partition)
+        return counts
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("n", [512, 2048])
+    @pytest.mark.parametrize("a", [2, 16, "n"])
+    def test_x_reads_per_line(self, family, n, a, monkeypatch):
+        counts = self.count_x_reads(monkeypatch)
         closest_pair_kway(point_set(self.FAMILIES[family](n)), n if a == "n" else a, OpCounter())
-        assert lines[0] > 0
-        assert reads[0] <= 4 * lines[0]
+        reads, lines = counts
+        assert lines > 0
+        assert reads <= 4 * lines
+
+    @pytest.mark.parametrize("seed,expected", [(1, 10_076), (8, 10_171)])
+    def test_x_reads_uniform_plane_sweep(self, seed, expected, monkeypatch):
+        # 2,046 lines at n = 2,048, a = n.  Re-reading the x of an
+        # out-of-window one-point right region in the walk read 10,323 and
+        # 10,380: one more on each of the 247 (seed 1) and 209 (seed 8)
+        # lines skipped with no right point.
+        counts = self.count_x_reads(monkeypatch)
+        closest_pair_kway(gen_uniform_points(2048, seed), 2048, OpCounter())
+        assert counts == [expected, 2046]
 
     @pytest.mark.parametrize("n", [512, 2048])
     @pytest.mark.parametrize("a", [2, 16, "n"])
@@ -596,19 +619,33 @@ class TestBalancedPartition:
     def test_offset_range(self):
         assert balanced_partition(10, 17, 3) == [13, 15, 17]
 
-    def test_line_between_boundary_points(self):
-        xs = [0.0, 1.0, 5.0, 6.0]
-        assert balanced_partition(0, 4, 2) == [2, 4]
-        assert dividing_x(xs, 2) == 3.0
-
-    def test_line_on_shared_x(self):
-        assert dividing_x([1.0, 2.0, 2.0, 9.0], 2) == 2.0
-
     def test_rejects_bad_region_counts(self):
         with pytest.raises(InvalidPartition):
             balanced_partition(0, 2, 3)
         with pytest.raises(InvalidPartition):
             balanced_partition(0, 2, 1)
+
+
+class TestDividingLine:
+    """A line lies at its two neighbours' midpoint, or on their x when they share it."""
+
+    def test_line_between_boundary_points(self):
+        # Regions x = {0, 1} and {5, 6}, each pair 17 apart, so the line is
+        # at 3 and the right region's far end, 9 from it, is in the window:
+        # four cross pairs lie within the window in y, 2 + 4 DCs.  A line at
+        # the left neighbour's x = 1 leaves the point at x = 6 out (25).
+        ps = point_set([(0.0, 0.0), (1.0, 4.0), (5.0, 0.0), (6.0, 4.0)])
+        r = closest_pair_kway(ps, 2, OpCounter())
+        assert (r.i, r.j, r.dist_sq, r.dc_used) == (0, 1, 17.0, 6)
+
+    def test_line_on_shared_x(self):
+        # The midpoint of two equal x values this large is inf, which would
+        # put every point out of the window and skip the line that finds
+        # the pair 10-11.
+        x = 1.7976931348623157e308
+        ps = point_set([(x, 0.0), (x, 10.0), (x, 11.0), (x, 30.0)])
+        r = closest_pair_kway(ps, 2, OpCounter())
+        assert (r.i, r.j, r.dist_sq, r.dc_used) == (1, 2, 1.0, 3)
 
 
 class TestRandomizedStress:
