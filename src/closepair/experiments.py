@@ -101,9 +101,11 @@ def run_trials(n: int, trials: int, base_seed: int, jobs: int = 1) -> TrialHisto
 
     Trial t uses seed splitmix64_mix(base_seed + t), so the tally does not
     depend on execution order: the trials run on at most ``jobs`` worker
-    processes, and no more than ``trials`` or ``os.cpu_count()``, each given
-    one contiguous chunk of them; with one worker they run in this process.
-    The histogram is byte-identical to the sequential run.
+    processes, and no more than ``trials`` or the CPUs this process may run
+    on (``len(os.sched_getaffinity(0))`` where the platform has it, else
+    ``os.cpu_count()``), each given one contiguous chunk of them; with one
+    worker they run in this process.  The histogram is byte-identical to
+    the sequential run.
     """
     if n < 2:
         raise InsufficientPoints(f"need at least 2 points, got {n}")
@@ -111,7 +113,8 @@ def run_trials(n: int, trials: int, base_seed: int, jobs: int = 1) -> TrialHisto
         raise ClosepairError(f"trial count must be >= 1, got {trials}")
     if jobs < 1:
         raise ClosepairError(f"job count must be >= 1, got {jobs}")
-    workers = min(jobs, trials, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, trials, cpus)
     seeds = (splitmix64_mix(base_seed + t) for t in range(trials))
     if workers == 1:
         winners = map(_trial, repeat(n), seeds)

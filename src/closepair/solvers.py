@@ -105,8 +105,9 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     lines left to right sharing one running minimum, the value
     ``(dist_sq, r, s)``.  It starts at inf, and the regions fold into it left
     to right before the sweep: a region of four or more points recurses with
-    the same ``a``, and one of two or three is brute-forced in place; a node
-    of three or fewer points is one such region.  A node whose minimum is
+    the same ``a``, and one of two or three is brute-forced in place, its
+    x-sorted points paired as (0, 1), then (0, 2) and (1, 2); a node of
+    three or fewer points is one such region.  A node whose minimum is
     then 0 skips its sweep, as only a strictly closer pair could replace
     it.  The core works in y-ranks
     throughout: the winning ranks are mapped to input indices, and put in
@@ -141,9 +142,10 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     bounded steps from each end of region t+1's y range then keep the left
     points within the window of that range; the rest meet nothing and are
     not passed to ``strip_scan``.  A right run of one point, the plane
-    sweep's usual line, is its own y order and needs one bisection and one
-    y, as both its ends are the point; a longer run is sorted and bisected
-    at each end.
+    sweep's usual line, is held as its y-rank: it is its own y order and
+    needs one bisection and one y, as both its ends are the point.  A longer
+    run is sorted and bisected at each end.  A line that scans builds its
+    strip as one list, the band's left points followed by the right run.
     Raises ``DistanceOverflow`` when even the closest squared distance is inf.
     """
     n = len(point_set)
@@ -195,10 +197,6 @@ def _presort(point_set):
     return view
 
 
-# The pairs i < j of a 2- or 3-point region, as offsets from its first position.
-_REGION_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
-
-
 def _solve(xs, rank, ypts, lo, hi, a, counter):
     m = hi - lo
     # At most m - 1 regions, so the paper's a = n, and any larger ``a``, is
@@ -206,9 +204,9 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
     # the loop must brute-force, not recurse into.  The running minimum
     # starts at inf and folds in the regions left to right: one of four or
     # more points recurses, one of two or three is brute-forced in place
-    # (pairs i < j of x-sorted positions), and a single point has nothing to
-    # pair.
-    stops = [hi] if m <= 3 else balanced_partition(lo, hi, min(a, m - 1))
+    # (its x-sorted positions 0, 1, 2 paired as (0, 1), then (0, 2) and
+    # (1, 2)), and a single point has nothing to pair.
+    stops = [hi] if m <= 3 else balanced_partition(lo, hi, a if a < m else m - 1)
     best = (math.inf, -1, -1)
     start = lo
     for stop in stops:
@@ -218,12 +216,22 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
                 if sub[0] < best[0]:
                     best = sub
             else:
-                for i, j in _REGION_PAIRS[stop - start]:
-                    r = rank[start + i]
-                    s = rank[start + j]
-                    d = squared_distance(ypts[r], ypts[s], counter)
+                r = rank[start]
+                s = rank[start + 1]
+                p = ypts[r]
+                q = ypts[s]
+                d = squared_distance(p, q, counter)
+                if d < best[0]:
+                    best = (d, r, s)
+                if stop - start == 3:
+                    t = rank[start + 2]
+                    u = ypts[t]
+                    d = squared_distance(p, u, counter)
                     if d < best[0]:
-                        best = (d, r, s)
+                        best = (d, r, t)
+                    d = squared_distance(q, u, counter)
+                    if d < best[0]:
+                        best = (d, s, t)
         start = stop
     # Only a strictly closer pair replaces the minimum, so once it is 0 no
     # line can keep anything.
@@ -298,12 +306,13 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
         # meet a right point.  Both sides are solved, so left points are
         # pairwise at least the window apart and only a few lie within the
         # window of either end: bisect to each end, then step outward past them.
-        # A one-point run, the plane sweep's usual line, is already in y order
-        # and both its ends are its point: one bisection and one y.
+        # A one-point run, the plane sweep's usual line, is held as its rank:
+        # it is already in y order and both its ends are its point, so one
+        # bisection and one y.
         if last - boundary == 1:
-            right = rank[boundary:last]
-            keep = stop = bisect_left(left, right[0])
-            low = high = ypts[right[0]].y
+            right = rank[boundary]
+            keep = stop = bisect_left(left, right)
+            low = high = ypts[right].y
         else:
             right = sorted(rank[boundary:last])
             keep = bisect_left(left, right[0])
@@ -321,5 +330,11 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
                 break
             stop += 1
         if keep < stop:
-            best = strip_scan(left[keep:stop] + right, stop - keep, ypts, best, counter)
+            # The strip is the band, then the right run: one new list.
+            strip = left[keep:stop]
+            if last - boundary == 1:
+                strip.append(right)
+            else:
+                strip += right
+            best = strip_scan(strip, stop - keep, ypts, best, counter)
     return best

@@ -204,10 +204,14 @@ class TestRunTrials:
         b[last] -= 1
         assert a == b
 
-    @pytest.mark.parametrize("cpus,workers", [(2, 2), (None, 1), (1, 1)])
-    def test_pool_is_capped_at_cpu_count(self, cpus, workers, monkeypatch):
-        # An in-process stand-in for the pool: no process is started, however
-        # many jobs are asked for.  With one worker no pool is made at all.
+    @staticmethod
+    def fake_pool(monkeypatch):
+        """Swap in an in-process stand-in for the pool; returns the list it logs to.
+
+        No process is started, however many jobs are asked for.  The log gets
+        the pool's worker count and then its chunk size, and stays empty when
+        no pool is made.
+        """
         made = []
 
         class FakePool:
@@ -225,10 +229,30 @@ class TestRunTrials:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        return made
+
+    @pytest.mark.parametrize("cpus,workers", [(2, 2), (None, 1), (1, 1)])
+    def test_pool_is_capped_at_cpu_count(self, cpus, workers, monkeypatch):
+        # Where the platform has no affinity mask, os.cpu_count() caps the
+        # pool; with one worker no pool is made at all.
+        made = self.fake_pool(monkeypatch)
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         hist = run_trials(3, 5000, 9, jobs=5000)
         # two workers, each given one chunk of 2500 trials
         assert made == ([2, 2500] if workers > 1 else [])
+        assert hist == run_trials(3, 5000, 9, jobs=1)
+
+    @pytest.mark.parametrize("mask,made", [({3}, []), ({0, 5}, [2, 2500])])
+    def test_pool_is_capped_at_affinity(self, mask, made, monkeypatch):
+        # Where the platform has an affinity mask, it caps the pool, not the
+        # machine's CPU count: --jobs 8 under a one-CPU mask runs in-process.
+        log = self.fake_pool(monkeypatch)
+        # only the calling process's own mask, pid 0, is known
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", {0: mask}.__getitem__, raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+        hist = run_trials(3, 5000, 9, jobs=8)
+        assert log == made
         assert hist == run_trials(3, 5000, 9, jobs=1)
 
     def test_default_runs_in_this_process(self, monkeypatch):

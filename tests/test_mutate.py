@@ -1,0 +1,110 @@
+"""Pins of ``tools/mutate.py``'s operators on a fixed snippet.
+
+Each PR reports the mutation run's survivor counts; an operator that stops
+finding its sites would shrink them silently.  The snippet holds every
+operator's site at least once, and the pins fix the sites, their order and
+two mutated sources.
+"""
+
+from conftest import _load
+
+mutate = _load("tools/mutate.py")
+
+SNIPPET = '''\
+def f(xs, k):
+    for x in xs:
+        if x < k and not x >= 2:
+            continue
+        if x > 3 or x <= -1:
+            break
+    try:
+        k = k + 1 if xs else k - 1
+    except TypeError:
+        k = 0
+    return k
+
+
+def g(y):
+    return y < 4
+'''
+
+# (line, column, change) in visiting order: a node's own site follows the
+# sites inside it.
+SITES = [
+    (3, 11, "< -> <="),
+    (3, 30, "2 -> 3"),
+    (3, 25, ">= -> >"),
+    (3, 21, "drop not"),
+    (3, 11, "and -> or"),
+    (4, 12, "continue -> break"),
+    (5, 15, "3 -> 4"),
+    (5, 11, "> -> >="),
+    (5, 26, "1 -> 2"),
+    (5, 20, "<= -> <"),
+    (5, 11, "or -> and"),
+    (6, 12, "break -> continue"),
+    (8, 16, "1 -> 2"),
+    (8, 12, "drop + 1"),
+    (8, 33, "1 -> 2"),
+    (8, 29, "drop - 1"),
+    (8, 12, "if-else -> if"),
+    (8, 12, "if-else -> else"),
+    (10, 12, "0 -> 1"),
+    (9, 4, "drop except TypeError"),
+    (15, 11, "< -> <="),
+]
+
+UNMUTATED_F = '''\
+def f(xs, k):
+    for x in xs:
+        if x < k and (not x >= 2):
+            continue
+        if x > 3 or x <= -1:
+            break
+'''
+
+G = '''
+def g(y):
+    return y < 4
+'''
+
+
+def test_every_site():
+    source, sites = mutate.mutant(SNIPPET, -1)
+    assert sites == SITES
+    assert source == UNMUTATED_F + '''\
+    try:
+        k = k + 1 if xs else k - 1
+    except TypeError:
+        k = 0
+    return k
+''' + G
+
+
+def test_scope_keeps_its_own_sites():
+    assert mutate.mutant(SNIPPET, -1, "g")[1] == SITES[-1:]
+    # a target's sites are numbered from 0 within its scope
+    source, sites = mutate.mutant(SNIPPET, 0, "g")
+    assert source.endswith("    return y <= 4\n")
+    assert sites == SITES[-1:]
+
+
+def test_conditional_replaced_by_its_else():
+    source, sites = mutate.mutant(SNIPPET, 17)
+    assert sites == SITES
+    assert source == UNMUTATED_F + '''\
+    try:
+        k = k - 1
+    except TypeError:
+        k = 0
+    return k
+''' + G
+
+
+def test_only_except_dropped_leaves_the_body():
+    source, sites = mutate.mutant(SNIPPET, 19)
+    assert sites == SITES
+    assert source == UNMUTATED_F + '''\
+    k = k + 1 if xs else k - 1
+    return k
+''' + G

@@ -31,15 +31,21 @@ often never ends), is killed.  Each survivor then
 runs the differential; it is killed there when the run reports a mismatch or
 its output differs from the unmutated file's.  The unmutated file runs each
 of its test sets once and the differential once, however many targets share
-it, and a target with no site runs nothing.  Prints each survivor with its
-file, line and column and whether the differential killed it, then one line
-of totals per target.  Writes nothing outside the temporary directory.
-Exits 1 when an unmutated file fails its tests or the differential, and 2 on
-a usage error.  Standard library only.
+it, and a target with no site runs nothing.  Runs go to one worker per CPU
+this process may run on (its affinity mask where the platform has one), each
+worker with its own copy of the tree.  Prints each survivor with its file,
+line and column and whether the differential killed it, in site order, then
+one line of totals per target, so the output does not depend on the number
+of workers.  Writes nothing outside the temporary directory.  Exits 1 when
+an unmutated file fails its tests or the differential, and 2 on a usage
+error.  Standard library only.
 """
 
 import ast
+import concurrent.futures
+import functools
 import os
+import queue
 import shutil
 import subprocess
 import sys
@@ -169,54 +175,109 @@ def run(command, cwd, timeout):
     return code, time.perf_counter() - began
 
 
-def mutate_file(work, name, scope, tests, plain_runs):
-    """Run every mutant of ``name`` (only ``scope`` in it, if given) in the copy at ``work``.
+def copy_tree(src, work):
+    """Copy <src> and what its tests load from this repository into ``work``; returns ``work``."""
+    ignore = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(src, work / "src", ignore=ignore)
+    shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
+    (work / "tools").mkdir()
+    shutil.copy(ROOT / "tools" / "differential.py", work / "tools")
+    (work / "bench").mkdir()
+    shutil.copy(ROOT / "bench" / "workloads.py", work / "bench")
+    return work
 
-    Prints each survivor as it is found and returns the totals line, or
-    None when the unmutated file fails its tests or the differential.  The
-    file is restored before returning.  ``plain_runs`` remembers the
-    unmutated file's runs across calls: ``(name, tests)`` maps to the test
-    seconds and ``name`` to the differential seconds and output, or either
-    to None when that run failed.
+
+def in_copy(trees, name, text, job):
+    """``job(work)`` in a free copy ``work`` of the tree whose ``closepair/name`` reads ``text``.
+
+    ``trees`` is a queue of the copies; the copy is taken from it for the
+    call, then restored and put back.
     """
+    work = trees.get()
     target = work / "src" / "closepair" / name
-    source = target.read_text()
-    lines = source.splitlines()
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    differential = [sys.executable, "tools/differential.py", "src", "out.txt"]
-    killed = timeouts = by_differential = 0
-    # The unmutated file, unparsed like every mutant, sets the time limits
-    # and the differential output each survivor must match.  Its text does
-    # not depend on the scope, so one run serves every target of the file,
-    # and a target with no site needs none.
-    plain, sites = mutant(source, -1, scope)
+    original = target.read_text()
     try:
-        if sites:
-            target.write_text(plain)
-            if (name, tests) not in plain_runs:
-                code, seconds = run(command, work, None)
-                plain_runs[name, tests] = None if code else seconds
-            if name not in plain_runs:
-                code, seconds = run(differential, work, None)
-                plain_runs[name] = None if code else (seconds, (work / "out.txt").read_bytes())
-            if None in (plain_runs[name, tests], plain_runs[name]):
-                return None
-        for k, (line, column, change) in enumerate(sites):
-            target.write_text(mutant(source, k, scope)[0])
-            code, _ = run(command, work, 3 * plain_runs[name, tests] + 10)
-            if code != 0:
-                killed += 1
-                timeouts += code is None
-                continue
-            diff_s, reference = plain_runs[name]
-            code, _ = run(differential, work, 3 * diff_s + 10)
-            caught = code != 0 or (work / "out.txt").read_bytes() != reference
-            by_differential += caught
-            verdict = "killed by the differential" if caught else "same differential output"
-            where = f"{name}:{line}:{column + 1}"
-            print(f"survivor {where:18} {change:18} {verdict}  | {lines[line - 1].strip()}", flush=True)
+        target.write_text(text)
+        return job(work)
     finally:
-        target.write_text(source)
+        target.write_text(original)
+        trees.put(work)
+
+
+def tests_command(tests):
+    return [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+
+
+def differential(work, timeout):
+    """``(exit code or None on timeout, seconds, output or None)`` of the differential run in ``work``."""
+    code, seconds = run([sys.executable, "tools/differential.py", "src", "out.txt"], work, timeout)
+    return code, seconds, (work / "out.txt").read_bytes() if code == 0 else None
+
+
+def plain_runs(pool, trees, sources, targets):
+    """Run each unmutated file once per test set and once through the differential.
+
+    The unmutated file, unparsed like every mutant, sets the time limits and
+    the differential output each survivor must match.  Its text does not
+    depend on the scope, so one run serves every target of the file, and a
+    target with no site needs none.  Returns ``{(name, tests): test
+    seconds}`` and ``{name: (differential seconds, output)}``, a value being
+    None when that run failed.
+    """
+    tests_runs, diff_runs = {}, {}
+    for name, _, tests, sites in targets:
+        if not sites:
+            continue
+        plain = mutant(sources[name], -1)[0]
+        if (name, tests) not in tests_runs:
+            job = functools.partial(run, tests_command(tests), timeout=None)
+            tests_runs[name, tests] = pool.submit(in_copy, trees, name, plain, job)
+        if name not in diff_runs:
+            job = functools.partial(differential, timeout=None)
+            diff_runs[name] = pool.submit(in_copy, trees, name, plain, job)
+    tests_s = {}
+    for key, future in tests_runs.items():
+        code, seconds = future.result()
+        tests_s[key] = None if code else seconds
+    diffs = {}
+    for name, future in diff_runs.items():
+        code, seconds, out = future.result()
+        diffs[name] = None if code else (seconds, out)
+    return tests_s, diffs
+
+
+def verdict(trees, name, text, tests, tests_s, diff):
+    """The fate of one mutant, ``text`` in place of ``name``, as the totals and survivor lines name it.
+
+    A mutant is killed when it fails its tests or runs more than three
+    times as long as the unmutated file plus 10 s.  A survivor is caught
+    when the differential reports a mismatch or prints other output.
+    """
+    diff_s, reference = diff
+
+    def job(work):
+        code, _ = run(tests_command(tests), work, 3 * tests_s + 10)
+        if code != 0:
+            return "killed" if code is not None else "timed out"
+        if differential(work, 3 * diff_s + 10)[2] != reference:
+            return "killed by the differential"
+        return "same differential output"
+
+    return in_copy(trees, name, text, job)
+
+
+def report(name, scope, sites, fates, lines):
+    """Print each survivor in site order as its fate arrives; return the target's totals line."""
+    killed = timeouts = by_differential = 0
+    for (line, column, change), future in zip(sites, fates):
+        fate = future.result()
+        if fate in ("killed", "timed out"):
+            killed += 1
+            timeouts += fate == "timed out"
+            continue
+        by_differential += fate == "killed by the differential"
+        where = f"{name}:{line}:{column + 1}"
+        print(f"survivor {where:18} {change:18} {fate}  | {lines[line - 1].strip()}", flush=True)
     survivors = len(sites) - killed
     return (f"{name + (f' {scope}' if scope else ''):29} mutants {len(sites)}  killed by tests {killed} "
             f"({timeouts} timed out)  survivors {survivors}  killed by the differential {by_differential}  "
@@ -227,23 +288,28 @@ def main(argv):
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    totals = []
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        ignore = shutil.ignore_patterns("__pycache__")
-        shutil.copytree(argv[1], work / "src", ignore=ignore)
-        shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
-        (work / "tools").mkdir()
-        shutil.copy(ROOT / "tools" / "differential.py", work / "tools")
-        (work / "bench").mkdir()
-        shutil.copy(ROOT / "bench" / "workloads.py", work / "bench")
-        plain_runs = {}
-        for name, scope, tests in TARGETS:
-            line = mutate_file(work, name, scope, tests, plain_runs)
-            if line is None:
-                print(f"the unmutated {name} fails its tests or the differential", file=sys.stderr)
-                return 1
-            totals.append(line)
+    src = Path(argv[1])
+    sources = {name: (src / "closepair" / name).read_text() for name, _, _ in TARGETS}
+    # (name, scope, tests, sites) of every target
+    targets = [(name, scope, tests, mutant(sources[name], -1, scope)[1]) for name, scope, tests in TARGETS]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    trees = queue.Queue()
+    with tempfile.TemporaryDirectory() as tmp, concurrent.futures.ThreadPoolExecutor(cpus) as pool:
+        try:
+            for k in range(cpus):
+                trees.put(copy_tree(src, Path(tmp) / str(k)))
+            tests_s, diffs = plain_runs(pool, trees, sources, targets)
+            for name, _, tests, sites in targets:
+                if sites and None in (tests_s[name, tests], diffs[name]):
+                    print(f"the unmutated {name} fails its tests or the differential", file=sys.stderr)
+                    return 1
+            fates = [[pool.submit(verdict, trees, name, mutant(sources[name], k, scope)[0], tests,
+                                  tests_s[name, tests], diffs[name]) for k in range(len(sites))]
+                     for name, scope, tests, sites in targets]
+            totals = [report(name, scope, sites, futures, sources[name].splitlines())
+                      for (name, scope, _, sites), futures in zip(targets, fates)]
+        finally:
+            pool.shutdown(cancel_futures=True)
     print("\n".join(totals))
     return 0
 
