@@ -16,7 +16,7 @@ from itertools import repeat
 
 from .errors import ClosepairError, EmptySweep, InsufficientPoints, InvalidPartition
 from .geometry import OpCounter, Point, PointSet, final_distance
-from .solvers import closest_pair_2way, closest_pair_kway
+from .solvers import closest_pair_kway
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -126,13 +126,8 @@ def run_trials(n: int, trials: int, base_seed: int, jobs: int = 1) -> TrialHisto
 
 
 def growth_check(sizes, seed: int) -> list:
-    """Measured 2-way counts per instance size, for growth-ratio analysis."""
-    out = []
-    for n in sizes:
-        counter = OpCounter()
-        result = closest_pair_2way(gen_uniform_points(n, seed), counter)
-        out.append((n, result.dc_used))
-    return out
+    """Measured 2-way counts per instance size, for growth-ratio analysis; a one-row sweep at a = 2."""
+    return [(n, run_sweep(n, seed, 2, 2)[0].dc_measured) for n in sizes]
 
 
 def _trial(n: int, seed: int) -> int:

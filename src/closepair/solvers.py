@@ -102,51 +102,21 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     """Divide and conquer with branching factor ``a``.
 
     Splits into min(a, n - 1) balanced regions, then sweeps the dividing
-    lines left to right sharing one running minimum, the value
-    ``(dist_sq, r, s)``.  It starts at inf, and the regions fold into it left
-    to right before the sweep: a region of four or more points recurses with
-    the same ``a``, and one of two or three is brute-forced in place, its
-    x-sorted points paired as (0, 1), then (0, 2) and (1, 2); a node of
-    three or fewer points is one such region.  A node whose minimum is
-    then 0 skips its sweep, as only a strictly closer pair could replace
-    it.  The core works in y-ranks
-    throughout: the winning ranks are mapped to input indices, and put in
-    index order, once, when the result is reported.  Line t's strip pairs
-    the in-window points of regions 1..t, which the earlier lines have
-    merged, with those of region t+1, which is already solved; only pairs
-    across the line cost a DC.  No pair is evaluated twice, so a solve
-    spends at most n(n-1)/2 DCs, and both sides of every strip are separated
-    by at least the window.
-    The paper's n parts (a = n) and any larger ``a`` give the n - 1 regions
-    of a plane sweep: a leftmost pair, then one point per line.
+    lines left to right sharing one running minimum.  It starts at inf, and
+    the regions fold into it left to right before the sweep: a region of
+    four or more points recurses with the same ``a``, and one of two or
+    three is brute-forced in place; a node of three or fewer points is one
+    such region.  Line t's strip pairs the in-window points of regions
+    1..t, which the earlier lines have merged, with those of region t+1,
+    which is already solved; only pairs across the line cost a DC.  No pair
+    is evaluated twice, so a solve spends at most n(n-1)/2 DCs.  The paper's
+    n parts (a = n) and any larger ``a`` give the n - 1 regions of a plane
+    sweep: a leftmost pair, then one point per line.  How a line is placed
+    and its strip found is described in ``_solve``.
 
-    Each line's strip is a list of y-ranks, found so that a line costs about
-    what can cross it.  On either side the in-window points are a run that
-    ends at the line, as dx only grows away from it, so each side tests its
-    run's far end first and walks only when that end is out of the window.
-    Region t+1's run is the whole region when its far end is in the window,
-    and is otherwise found by a walk right from the line that stops at the
-    far end at the latest; a line with none is skipped, as the window is
-    symmetric about the line.  The walk starts at the x of region t+1's
-    first point, which placed the line, so a one-point region out of the
-    window is skipped with no x read twice.  The in-window run left of the
-    line only loses points from its left end as the sweep moves right, and
-    its y order is carried from line to line: the left edge walks forward
-    past carried points that have left the window, which are deleted, and
-    the region that entered is inserted (one point) or merged in (more).
-    Only when every carried point has left is the run found afresh, by
-    testing its far end (the first position not carried) and, if that is
-    out, walking back from the line, and then sorted.  Every walk step is
-    paid for: a right or backward step is one entry of a sort, and a forward
-    step passes a point that was inserted once.  A bisection and a few
-    bounded steps from each end of region t+1's y range then keep the left
-    points within the window of that range; the rest meet nothing and are
-    not passed to ``strip_scan``.  A right run of one point, the plane
-    sweep's usual line, is held as its y-rank: it is its own y order and
-    needs one bisection and one y, as both its ends are the point.  A longer
-    run is sorted and bisected at each end.  A line that scans builds its
-    strip as one list, the band's left points followed by the right run.
-    Raises ``DistanceOverflow`` when even the closest squared distance is inf.
+    Raises ``InsufficientPoints`` for fewer than two points,
+    ``InvalidPartition`` for a < 2, and ``DistanceOverflow`` when even the
+    closest squared distance is inf.
     """
     n = len(point_set)
     if n < 2:
@@ -156,8 +126,9 @@ def closest_pair_kway(point_set: PointSet, a: int, counter: OpCounter) -> Closes
     start = counter.dc
     xs, rank, ypts, yidx = _presort(point_set)
     d, r, s = _solve(xs, rank, ypts, 0, n, a, counter)
-    # an inf minimum keeps its -1 ranks, and ``_result`` raises before
-    # their mapped indices could escape
+    # The core works in y-ranks throughout; the winning ranks are mapped to
+    # input indices here, once.  An inf minimum keeps its -1 ranks, and
+    # ``_result`` raises before their mapped indices could escape.
     return _result((d, yidx[r], yidx[s]), counter.dc - start)
 
 
@@ -239,10 +210,17 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
         return best
     # A pair with points in regions s < r is a cross pair at line r-1 only,
     # where both points lie within d(p, q) of the line: a pair closer than
-    # the window is scanned there and nowhere else.  The line only moves right
-    # and the window only shrinks, so a left point out of the window stays
-    # out: ``first``, the first in-window position, never moves left, and
-    # ``left`` carries the y-ranks of positions [first, held) from line to line.
+    # the window is scanned there and nowhere else.  A line's strip is a
+    # list of y-ranks, found so that the line costs about what can cross it.
+    # On either side the in-window points are a run that ends at the line,
+    # as dx only grows away from it, so each side tests its run's far end
+    # first and walks only when that end is out of the window, and every
+    # walk step is paid for: a right or backward step is one entry of a
+    # sort, and a forward step passes a point that was inserted once.  The
+    # line only moves right and the window only shrinks, so a left point
+    # out of the window stays out: ``first``, the first in-window position,
+    # never moves left, and ``left`` carries the y-ranks of positions
+    # [first, held) from line to line.
     first = held = lo
     for boundary, end in zip(stops, stops[1:]):
         # The line lies between positions boundary - 1 and boundary, at

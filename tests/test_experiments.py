@@ -284,6 +284,12 @@ class TestGrowthCheck:
         rows = growth_check([4, 4], 9)
         assert rows[0] == rows[1]
 
+    def test_pinned_counts(self):
+        # criterion 6's instances, recorded when the 2-way solver was called
+        # directly instead of as a one-row sweep at a = 2
+        rows = growth_check([1000, 2000, 4000, 8000], 0x60061)
+        assert rows == [(1000, 947), (2000, 1860), (4000, 3719), (8000, 7486)]
+
     def test_subquadratic_ratios(self):
         rows = growth_check([1000, 2000, 4000], 2026)
         for (_, d1), (_, d2) in zip(rows, rows[1:]):

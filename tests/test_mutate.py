@@ -3,7 +3,7 @@
 Each PR reports the mutation run's survivor counts; an operator that stops
 finding its sites would shrink them silently.  The snippet holds every
 operator's site at least once, and the pins fix the sites, their order and
-two mutated sources.
+two mutated sources, and that every mutant's source is its own.
 """
 
 from conftest import _load
@@ -70,9 +70,8 @@ def g(y):
 
 
 def test_every_site():
-    source, sites = mutate.mutant(SNIPPET, -1)
-    assert sites == SITES
-    assert source == UNMUTATED_F + '''\
+    assert mutate.sites(SNIPPET) == SITES
+    assert mutate.mutant(SNIPPET, -1) == UNMUTATED_F + '''\
     try:
         k = k + 1 if xs else k - 1
     except TypeError:
@@ -82,17 +81,20 @@ def test_every_site():
 
 
 def test_scope_keeps_its_own_sites():
-    assert mutate.mutant(SNIPPET, -1, "g")[1] == SITES[-1:]
+    assert mutate.sites(SNIPPET, "g") == SITES[-1:]
     # a target's sites are numbered from 0 within its scope
-    source, sites = mutate.mutant(SNIPPET, 0, "g")
-    assert source.endswith("    return y <= 4\n")
-    assert sites == SITES[-1:]
+    assert mutate.mutant(SNIPPET, 0, "g").endswith("    return y <= 4\n")
+
+
+def test_every_mutant_is_its_own_source():
+    plain = mutate.mutant(SNIPPET, -1)
+    mutants = {mutate.mutant(SNIPPET, k) for k in range(len(SITES))}
+    assert len(mutants) == len(SITES)
+    assert plain not in mutants
 
 
 def test_conditional_replaced_by_its_else():
-    source, sites = mutate.mutant(SNIPPET, 17)
-    assert sites == SITES
-    assert source == UNMUTATED_F + '''\
+    assert mutate.mutant(SNIPPET, 17) == UNMUTATED_F + '''\
     try:
         k = k - 1
     except TypeError:
@@ -102,9 +104,7 @@ def test_conditional_replaced_by_its_else():
 
 
 def test_only_except_dropped_leaves_the_body():
-    source, sites = mutate.mutant(SNIPPET, 19)
-    assert sites == SITES
-    assert source == UNMUTATED_F + '''\
+    assert mutate.mutant(SNIPPET, 19) == UNMUTATED_F + '''\
     k = k + 1 if xs else k - 1
     return k
 ''' + G

@@ -25,8 +25,9 @@ in the window at each line and one leaves per line, was recorded before the
 x-window's ends were found by walking instead of galloping search.
 
 ``STRIP_WORK_PINS`` records, per solve, the total number of strip points
-handed to ``strip_scan`` and the number of scan calls, on uniform n=2048, on
-the ``degenerate_mix`` inputs and on the tiny-x and sliding-window inputs.  A
+handed to ``strip_scan`` and the number of scan calls, the sum and the length
+of the strip sizes ``recorded_spans`` observes, on uniform n=2048, on the
+``degenerate_mix`` inputs and on the tiny-x and sliding-window inputs.  A
 y-band trimmed too loosely only adds points that meet nothing (span 0), which
 DCs, span sums and the differential digest cannot see; these counts can.
 They were recorded before the strip became a list of y-ranks (the tiny-x row
@@ -308,18 +309,10 @@ def test_pinned_ties(case, solver):
 
 @pytest.mark.parametrize("case", sorted(STRIP_WORK))
 @pytest.mark.parametrize("solver", ["kway a=2", "kway a=16", "kway a=n"])
-def test_pinned_strip_work(case, solver, monkeypatch):
-    scan = solvers.strip_scan
-    work = [0, 0]
-
-    def counting(strip, *args):
-        work[0] += len(strip)
-        work[1] += 1
-        return scan(strip, *args)
-
-    monkeypatch.setattr(solvers, "strip_scan", counting)
-    SOLVERS[solver](STRIP_WORK[case], OpCounter())
-    assert tuple(work) == STRIP_WORK_PINS[case][solver]
+def test_pinned_strip_work(case, solver):
+    with differential.recorded_spans() as (_, sizes):
+        SOLVERS[solver](STRIP_WORK[case], OpCounter())
+    assert (sum(sizes), len(sizes)) == STRIP_WORK_PINS[case][solver]
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))

@@ -399,9 +399,10 @@ class TestFloatEdges:
 class TestStripWork:
     """Strip points handed to ``strip_scan`` grow about linearly on degenerate inputs.
 
-    The DC meter does not see strip building, so this counts the points
-    directly.  A line whose whole left side was passed to the scan made
-    these counts grow 4x per doubling of n at a = n.
+    The DC meter does not see strip building, so this reads the strip sizes
+    that ``recorded_spans`` of ``tools/differential.py`` observes.  A line
+    whose whole left side was passed to the scan made these counts grow 4x
+    per doubling of n at a = n.
     """
 
     FAMILIES = {
@@ -412,21 +413,13 @@ class TestStripWork:
 
     @pytest.mark.parametrize("family", list(FAMILIES))
     @pytest.mark.parametrize("a", [16, "n"])
-    def test_strip_points_per_doubling(self, family, a, monkeypatch):
-        scan = solvers.strip_scan
-        received = [0]
-
-        def counting(strip, *args):
-            received[0] += len(strip)
-            return scan(strip, *args)
-
-        monkeypatch.setattr(solvers, "strip_scan", counting)
+    def test_strip_points_per_doubling(self, family, a):
         totals = []
         for n in (256, 512, 1024):
-            received[0] = 0
             ps = point_set(self.FAMILIES[family](n))
-            closest_pair_kway(ps, n if a == "n" else a, OpCounter())
-            totals.append(received[0])
+            with differential.recorded_spans() as (_, sizes):
+                closest_pair_kway(ps, n if a == "n" else a, OpCounter())
+            totals.append(sum(sizes))
         assert totals[1] <= 2.5 * totals[0]
         assert totals[2] <= 2.5 * totals[1]
 
@@ -506,31 +499,20 @@ class TestWindowWork:
         cells = [(float(x), float(y)) for x in range(side) for y in range(side)]
         coords = [cells[k % len(cells)] for k in range(n)]
         random.Random(n).shuffle(coords)
-        zero = [False]
-        late_reads = [0]
-
-        class CountingList(list):
-            def __getitem__(self, k):
-                late_reads[0] += zero[0]
-                return super().__getitem__(k)
-
-        presort = solvers._presort
+        counts = self.count_x_reads(monkeypatch)
+        reads_at_zero = []
         distance = solvers.squared_distance
-
-        def counting_presort(ps):
-            xs, *rest = presort(ps)
-            return (CountingList(xs), *rest)
 
         def watching_distance(p, q, counter):
             d = distance(p, q, counter)
-            zero[0] = zero[0] or d == 0
+            if d == 0 and not reads_at_zero:
+                reads_at_zero.append(counts[0])
             return d
 
-        monkeypatch.setattr(solvers, "_presort", counting_presort)
         monkeypatch.setattr(solvers, "squared_distance", watching_distance)
         r = closest_pair_kway(point_set(coords), n if a == "n" else a, OpCounter())
-        assert r.dist_sq == 0 and zero[0]
-        assert late_reads[0] == 0
+        assert r.dist_sq == 0 and reads_at_zero
+        assert counts[0] == reads_at_zero[0]
 
 
 class TestSortWork:

@@ -20,10 +20,10 @@ distance.  Two source trees that evaluate the same pairs in the same order
 print the same digest.  Exits 1 on any mismatch and 2 on a usage error.
 Standard library only.  The test suite imports ``corpus`` and ``run`` to
 gate on a fixed prefix of the corpus (``tests/test_differential.py``),
-``recorded_spans`` to check the per-point scan bound, and the coordinates
-of the fixed degenerate inputs (``degenerate_coords``, ``tiny_x_coords``,
-``sliding_window_coords``), which ``tools/opcount.py`` and the solver pins
-share.
+``recorded_spans`` to check the per-point scan bound and the strip sizes,
+and the coordinates of the fixed degenerate inputs (``degenerate_coords``,
+``tiny_x_coords``, ``sliding_window_coords``), which ``tools/opcount.py``
+and the solver pins share.
 """
 
 import hashlib

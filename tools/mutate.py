@@ -18,9 +18,9 @@ second mutant, by ``B``.  The targets and the tests each runs against:
   ``_cmd_model`` and ``_cmd_gen``, the range check ``_check_a_range`` and
   ``main`` in ``cli.py``, the file errors, argument checks, output lines
   and the exit-code mapping: ``tests/test_cli.py``;
-- ``run_sweep``, ``argmin_partition`` and ``run_trials`` in
-  ``experiments.py``, the harnesses' argument checks, tie rule and worker
-  count: ``tests/test_experiments.py`` and ``tests/test_cli.py``.
+- ``run_sweep``, ``argmin_partition``, ``run_trials`` and ``growth_check``
+  in ``experiments.py``, the harnesses' argument checks, tie rule, worker
+  count and sweep row: ``tests/test_experiments.py`` and ``tests/test_cli.py``.
 
 Each mutant is written with ``ast.unparse`` into a copy of <src> in a
 temporary directory, next to copies of this repository's ``tests/``,
@@ -64,7 +64,7 @@ TARGETS = (
     *(("cli.py", name, ("tests/test_cli.py",))
       for name in ("_cmd_solve", "_cmd_sweep", "_cmd_trials", "_check_a_range", "_cmd_model", "_cmd_gen", "main")),
     *(("experiments.py", name, ("tests/test_experiments.py", "tests/test_cli.py"))
-      for name in ("run_sweep", "argmin_partition", "run_trials")),
+      for name in ("run_sweep", "argmin_partition", "run_trials", "growth_check")),
 )
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
@@ -75,8 +75,10 @@ class Mutator(ast.NodeTransformer):
 
     Only sites inside the function whose qualified name is ``scope`` count,
     or every site when ``scope`` is None.  ``sites`` collects ``(line,
-    column, change)`` for every site met up to the target; with a target of
-    -1 that is every site in scope.
+    column, change)`` of each site met.  Once the target is mutated, a later
+    site on the same node can go unmet (a ``+ 1`` whose 1 was raised, a
+    conditional's second replacement), so only with a target of -1, which
+    mutates nothing, is that every site in scope; ``sites()`` reads it there.
     """
 
     def __init__(self, target, scope=None):
@@ -157,10 +159,16 @@ class Mutator(ast.NodeTransformer):
         return node
 
 
+def sites(source, scope=None):
+    """``(line, column, change)`` of every site in ``scope``, numbered as ``mutant`` numbers them."""
+    mutator = Mutator(-1, scope)
+    mutator.visit(ast.parse(source))
+    return mutator.sites
+
+
 def mutant(source, target, scope=None):
-    """``(source of mutant number target, its sites)``; target -1 gives the unmutated source."""
-    mutator = Mutator(target, scope)
-    return ast.unparse(mutator.visit(ast.parse(source))) + "\n", mutator.sites
+    """Source of mutant number ``target`` in ``scope``; target -1 gives the unmutated source."""
+    return ast.unparse(Mutator(target, scope).visit(ast.parse(source))) + "\n"
 
 
 def run(command, cwd, timeout):
@@ -225,10 +233,10 @@ def plain_runs(pool, trees, sources, targets):
     None when that run failed.
     """
     tests_runs, diff_runs = {}, {}
-    for name, _, tests, sites in targets:
-        if not sites:
+    for name, _, tests, found in targets:
+        if not found:
             continue
-        plain = mutant(sources[name], -1)[0]
+        plain = mutant(sources[name], -1)
         if (name, tests) not in tests_runs:
             job = functools.partial(run, tests_command(tests), timeout=None)
             tests_runs[name, tests] = pool.submit(in_copy, trees, name, plain, job)
@@ -266,10 +274,10 @@ def verdict(trees, name, text, tests, tests_s, diff):
     return in_copy(trees, name, text, job)
 
 
-def report(name, scope, sites, fates, lines):
+def report(name, scope, found, fates, lines):
     """Print each survivor in site order as its fate arrives; return the target's totals line."""
     killed = timeouts = by_differential = 0
-    for (line, column, change), future in zip(sites, fates):
+    for (line, column, change), future in zip(found, fates):
         fate = future.result()
         if fate in ("killed", "timed out"):
             killed += 1
@@ -278,8 +286,8 @@ def report(name, scope, sites, fates, lines):
         by_differential += fate == "killed by the differential"
         where = f"{name}:{line}:{column + 1}"
         print(f"survivor {where:18} {change:18} {fate}  | {lines[line - 1].strip()}", flush=True)
-    survivors = len(sites) - killed
-    return (f"{name + (f' {scope}' if scope else ''):29} mutants {len(sites)}  killed by tests {killed} "
+    survivors = len(found) - killed
+    return (f"{name + (f' {scope}' if scope else ''):29} mutants {len(found)}  killed by tests {killed} "
             f"({timeouts} timed out)  survivors {survivors}  killed by the differential {by_differential}  "
             f"left {survivors - by_differential}")
 
@@ -291,7 +299,7 @@ def main(argv):
     src = Path(argv[1])
     sources = {name: (src / "closepair" / name).read_text() for name, _, _ in TARGETS}
     # (name, scope, tests, sites) of every target
-    targets = [(name, scope, tests, mutant(sources[name], -1, scope)[1]) for name, scope, tests in TARGETS]
+    targets = [(name, scope, tests, sites(sources[name], scope)) for name, scope, tests in TARGETS]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     trees = queue.Queue()
     with tempfile.TemporaryDirectory() as tmp, concurrent.futures.ThreadPoolExecutor(cpus) as pool:
@@ -299,15 +307,15 @@ def main(argv):
             for k in range(cpus):
                 trees.put(copy_tree(src, Path(tmp) / str(k)))
             tests_s, diffs = plain_runs(pool, trees, sources, targets)
-            for name, _, tests, sites in targets:
-                if sites and None in (tests_s[name, tests], diffs[name]):
+            for name, _, tests, found in targets:
+                if found and None in (tests_s[name, tests], diffs[name]):
                     print(f"the unmutated {name} fails its tests or the differential", file=sys.stderr)
                     return 1
-            fates = [[pool.submit(verdict, trees, name, mutant(sources[name], k, scope)[0], tests,
-                                  tests_s[name, tests], diffs[name]) for k in range(len(sites))]
-                     for name, scope, tests, sites in targets]
-            totals = [report(name, scope, sites, futures, sources[name].splitlines())
-                      for (name, scope, _, sites), futures in zip(targets, fates)]
+            fates = [[pool.submit(verdict, trees, name, mutant(sources[name], k, scope), tests,
+                                  tests_s[name, tests], diffs[name]) for k in range(len(found))]
+                     for name, scope, tests, found in targets]
+            totals = [report(name, scope, found, futures, sources[name].splitlines())
+                      for (name, scope, _, found), futures in zip(targets, fates)]
         finally:
             pool.shutdown(cancel_futures=True)
     print("\n".join(totals))
