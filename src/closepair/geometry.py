@@ -1,8 +1,11 @@
 """Planar points and the instrumented distance primitive.
 
-Every solver in this package charges its pairwise work through
+The divide-and-conquer core charges its pairwise work through
 ``squared_distance``, which bumps an :class:`OpCounter` by exactly one per
-evaluation.  Comparisons are done on squared distances throughout; the square
+evaluation.  Brute force evaluates the same expression in place and charges
+its C(n,2) DCs in one step: it is about twice as fast without a call per
+pair, and as the oracle it should not share the primitive it checks.
+Comparisons are done on squared distances throughout; the square
 root is applied once, at reporting time, by ``final_distance`` and is never
 counted.
 """
@@ -98,7 +101,8 @@ def squared_distance(p: Point, q: Point, counter: OpCounter) -> float:
     """Squared Euclidean distance between p and q; costs exactly one DC.
 
     The expression order is fixed as (p.x-q.x)**2 + (p.y-q.y)**2 so that
-    every solver produces bit-identical values for the same winning pair.
+    every solver produces bit-identical values for the same winning pair;
+    ``solvers.brute_force`` writes the same expression out in place.
     """
     counter.dc += 1
     dx = p.x - q.x

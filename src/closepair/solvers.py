@@ -17,21 +17,33 @@ from .geometry import ClosestPairResult, OpCounter, PointSet, squared_distance
 def brute_force(point_set: PointSet, counter: OpCounter) -> ClosestPairResult:
     """Evaluate all C(n,2) pairs in input order; exactly n(n-1)/2 DCs.
 
+    Each pair is computed in place with ``squared_distance``'s expression,
+    the earlier point first, and the C(n,2) DCs are charged in one step.
+    Skipping a call per pair makes the oracle about twice as fast, and the
+    oracle no longer shares the primitive that the other solvers are checked
+    through, so a change to that primitive shows up as a mismatch.
+
     Raises ``DistanceOverflow`` when even the closest squared distance is inf.
     """
     n = len(point_set)
     if n < 2:
         raise InsufficientPoints(f"need at least 2 points, got {n}")
-    start = counter.dc
     pts = point_set.points
     best, bi, bj = math.inf, -1, -1
     for i in range(n - 1):
-        pi = pts[i]
+        p = pts[i]
+        px = p.x
+        py = p.y
         for j in range(i + 1, n):
-            d = squared_distance(pi, pts[j], counter)
+            q = pts[j]
+            dx = px - q.x
+            dy = py - q.y
+            d = dx * dx + dy * dy
             if d < best:
                 best, bi, bj = d, i, j
-    return _result((best, bi, bj), counter.dc - start)
+    dc_used = n * (n - 1) // 2
+    counter.dc += dc_used
+    return _result((best, bi, bj), dc_used)
 
 
 def _result(best: tuple, dc_used: int) -> ClosestPairResult:

@@ -1,6 +1,7 @@
 import math
 import random
 from bisect import insort
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,30 @@ class TestBruteForce:
     def test_insufficient_points(self, coords):
         with pytest.raises(InsufficientPoints):
             brute_force(point_set(coords), OpCounter())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=24))
+    def test_first_minimum_in_pair_order_on_ties(self, coords):
+        # A 5 x 5 grid: most sets hold duplicates and many tied pairs.
+        ps = point_set([(float(x), float(y)) for x, y in coords])
+        n = len(ps)
+
+        def fixed(i, j):
+            dx = ps[i].x - ps[j].x
+            dy = ps[i].y - ps[j].y
+            return dx * dx + dy * dy
+
+        expected = min(((fixed(i, j), i, j) for i, j in combinations(range(n), 2)), key=lambda t: t[0])
+        c = OpCounter()
+        r = brute_force(ps, c)
+        assert (r.dist_sq, r.i, r.j) == expected
+        assert c.dc == r.dc_used == n * (n - 1) // 2
+
+    def test_overflow_leaves_the_full_charge(self):
+        c = OpCounter()
+        with pytest.raises(DistanceOverflow):
+            brute_force(point_set([(0, 0), (1e200, 0), (0, -1e200)]), c)
+        assert c.dc == 3
 
 
 def _strip(ps, left, right):
@@ -355,6 +380,48 @@ class TestExactnessAboveN64:
             assert r.dist_sq.hex() == expected.hex(), solver
             assert 0 <= r.i < r.j < n, solver
             assert workloads.squared(xy[r.i], xy[r.j]) == r.dist_sq, solver
+
+
+class TestMetamorphic:
+    """The closest squared distance survives exact transforms, with no oracle.
+
+    In binary64, negating a coordinate and swapping x with y are exact and
+    keep every pair's squared distance, so every solver must report the same
+    distance bit for bit on every transformed copy.  The reported pair may
+    change on tied inputs, but it must be a pair of the set at that distance.
+    N is above the sizes ``TestExactnessAboveN64`` checks against an oracle
+    and is not a power of two; the class adds about 1 s to the suite.
+    """
+
+    N = 3000
+    TRANSFORMS = (
+        lambda x, y: (x, y),
+        lambda x, y: (-x, y),
+        lambda x, y: (x, -y),
+        lambda x, y: (y, x),
+    )
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [(p.x, p.y) for p in gen_uniform_points(N, 3)],
+            differential.tiny_x_coords(N),
+            differential.sliding_window_coords(N),
+        ],
+        ids=["uniform", "tiny x", "sliding window"],
+    )
+    def test_distance_is_invariant(self, coords):
+        n = len(coords)
+        dists = set()
+        for transform in self.TRANSFORMS:
+            ps = point_set([transform(x, y) for x, y in coords])
+            results = [closest_pair_2way(ps, OpCounter())]
+            results += [closest_pair_kway(ps, a, OpCounter()) for a in (2, 3, 16, math.isqrt(n), n - 1, n)]
+            for r in results:
+                assert 0 <= r.i < r.j < n
+                assert squared_distance(ps[r.i], ps[r.j], OpCounter()) == r.dist_sq
+                dists.add(r.dist_sq.hex())
+        assert len(dists) == 1
 
 
 class TestFloatEdges:
