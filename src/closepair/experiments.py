@@ -1,7 +1,10 @@
 """Seeded instance generation and the two measurement harnesses.
 
 Point coordinates come from a splitmix64 stream so that identical (n, seed)
-arguments produce bit-identical instances everywhere.  The two harnesses
+arguments produce bit-identical instances everywhere.  The generator
+computes its draws lane-parallel, in blocks of at most 2,048, bit-identical
+to ``splitmix64_stream``: splitmix64's output k is mix(seed + k * golden),
+so no draw depends on another.  The two harnesses
 mirror each other: ``run_sweep`` measures one instance across a range of
 partition parameters, ``run_trials`` repeats that over many derived seeds and
 tallies which parameter won.
@@ -10,6 +13,8 @@ tallies which parameter won.
 import concurrent.futures
 import math
 import os
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -20,13 +25,21 @@ from .solvers import closest_pair_kway
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+# Draws per _splitmix64_block call: one int for a whole 65,536-point instance
+# would hold about 6 MiB of transient ints.
+_BLOCK = 2048
+# One 128-bit lane per draw: a 1 in every lane, and lane i's state offset i * golden.
+_LANES = int.from_bytes((1).to_bytes(16, "little") * _BLOCK, "little")
+_STRIDES = int.from_bytes(b"".join((i * _GOLDEN).to_bytes(16, "little") for i in range(_BLOCK)), "little")
 
 
 def splitmix64_mix(value: int) -> int:
     """The splitmix64 output mix: a 64-bit bijection used to derive seeds."""
     z = value & _U64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    z = ((z ^ (z >> 30)) * _MUL1) & _U64
+    z = ((z ^ (z >> 27)) * _MUL2) & _U64
     return z ^ (z >> 31)
 
 
@@ -38,21 +51,47 @@ def splitmix64_stream(seed: int):
         yield splitmix64_mix(state)
 
 
+def _splitmix64_block(seed: int, lo: int, k: int, shift: int) -> array:
+    """Outputs lo+1 .. lo+k of ``splitmix64_stream(seed)``, each shifted right by ``shift``.
+
+    Needs k <= _BLOCK and 0 <= shift <= 33.  Output lo+i is the mix of
+    seed + (lo+i) * golden, so one int holds every state, draw i in the low
+    64 bits of the 128-bit lane i-1, and each mix step runs on all lanes at
+    once.  A right shift moves a lane's low bits into the top of the lane
+    below, and a product fills a lane's top half, so each is masked back to
+    the low halves before the next product or shift.  The final shifts need
+    no mask: a lane's bits 64..96 stay clear, and the unpacking keeps only
+    each lane's low 64 bits.
+    """
+    keep = (1 << 128 * k) - 1
+    lanes = _LANES & keep
+    low = lanes * _U64
+    z = (((seed + (lo + 1) * _GOLDEN) & _U64) * lanes + (_STRIDES & keep)) & low
+    z = ((z ^ z >> 30) & low) * _MUL1 & low
+    z = ((z ^ z >> 27) & low) * _MUL2 & low
+    z = (z ^ z >> 31) >> shift
+    draws = array("Q", z.to_bytes(16 * k, "little"))
+    if sys.byteorder == "big":
+        draws.byteswap()
+    return draws[::2]
+
+
 def gen_uniform_points(n: int, seed: int) -> PointSet:
     """n points uniform in [0,1)^2, two stream outputs per point (x then y).
 
     Each 64-bit output maps to [0,1) as its top 53 bits over 2**53, so the
     coordinates are exactly representable and reproducible bit for bit.
+    The outputs are computed lane-parallel, at most 2,048 at a time, and are
+    bit-identical to ``splitmix64_stream(seed)``'s.
     """
     if n < 0:
         raise ClosepairError(f"point count must be >= 0, got {n}")
-    stream = splitmix64_stream(seed)
     scale = 2.0 ** -53
     pts = []
-    for _ in range(n):
-        x = (next(stream) >> 11) * scale
-        y = (next(stream) >> 11) * scale
-        pts.append(Point(x, y))
+    for lo in range(0, 2 * n, _BLOCK):
+        coords = map(scale.__mul__, _splitmix64_block(seed, lo, min(_BLOCK, 2 * n - lo), 11))
+        # Both arguments draw from one iterator, so each point takes x, then y.
+        pts.extend(map(Point, coords, coords))
     return PointSet(pts)
 
 

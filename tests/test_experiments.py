@@ -1,5 +1,7 @@
 import dataclasses
 import pickle
+import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,49 @@ class TestSplitmix64:
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     def test_outputs_are_64_bit(self, seed):
         assert 0 <= next(splitmix64_stream(seed)) < 2**64
+
+
+class TestSplitmix64Block:
+    """The lane-parallel kernel against the scalar stream, across block edges."""
+
+    B = experiments._BLOCK
+
+    @classmethod
+    def kernel_draws(cls, seed, count, shift):
+        draws = []
+        for lo in range(0, count, cls.B):
+            draws += experiments._splitmix64_block(seed, lo, min(cls.B, count - lo), shift)
+        return draws
+
+    @pytest.mark.parametrize("count", [1, 2, B - 1, B, B + 1, 2 * B + 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, -1, 2**64 + 5])
+    def test_kernel_equals_stream(self, seed, count):
+        stream = list(islice(splitmix64_stream(seed), count))
+        assert self.kernel_draws(seed, count, 0) == stream
+        # 33 is the largest shift that keeps the lanes apart.
+        assert self.kernel_draws(seed, count, 33) == [u >> 33 for u in stream]
+
+    @pytest.mark.parametrize("n", [0, 1, B // 2, B // 2 + 1, 3 * B // 2 + 1])
+    def test_gen_equals_the_per_point_loop(self, n):
+        stream = splitmix64_stream(99)
+        expected = []
+        for _ in range(n):
+            x = (next(stream) >> 11) * 2.0**-53
+            y = (next(stream) >> 11) * 2.0**-53
+            expected.append((x.hex(), y.hex()))
+        assert [(p.x.hex(), p.y.hex()) for p in gen_uniform_points(n, 99)] == expected
+
+    def test_transient_memory_is_per_block(self):
+        # All 131,072 draws in one block would hold 6.3 MiB of transient
+        # ints; the list that PointSet copies is 0.5 MiB.
+        tracemalloc.start()
+        try:
+            points = gen_uniform_points(65536, 1)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 65536
+        assert peak - retained < 2**20
 
 
 class TestGenUniformPoints:

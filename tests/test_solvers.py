@@ -389,8 +389,11 @@ class TestMetamorphic:
     keep every pair's squared distance, so every solver must report the same
     distance bit for bit on every transformed copy.  The reported pair may
     change on tied inputs, but it must be a pair of the set at that distance.
+    Scaling by a power of two, with no overflow and no subnormal, scales
+    every difference, square, sum and midpoint exactly and so keeps every
+    comparison: the solves must then take the same path to the same pair.
     N is above the sizes ``TestExactnessAboveN64`` checks against an oracle
-    and is not a power of two; the class adds about 1 s to the suite.
+    and is not a power of two; the class adds about 2 s to the suite.
     """
 
     N = 3000
@@ -400,8 +403,7 @@ class TestMetamorphic:
         lambda x, y: (x, -y),
         lambda x, y: (y, x),
     )
-
-    @pytest.mark.parametrize(
+    INPUTS = pytest.mark.parametrize(
         "coords",
         [
             [(p.x, p.y) for p in gen_uniform_points(N, 3)],
@@ -410,18 +412,37 @@ class TestMetamorphic:
         ],
         ids=["uniform", "tiny x", "sliding window"],
     )
+
+    @staticmethod
+    def solves(ps):
+        """The 2-way solve, then k-way at six values of a."""
+        n = len(ps)
+        results = [closest_pair_2way(ps, OpCounter())]
+        return results + [closest_pair_kway(ps, a, OpCounter()) for a in (2, 3, 16, math.isqrt(n), n - 1, n)]
+
+    @INPUTS
     def test_distance_is_invariant(self, coords):
         n = len(coords)
         dists = set()
         for transform in self.TRANSFORMS:
             ps = point_set([transform(x, y) for x, y in coords])
-            results = [closest_pair_2way(ps, OpCounter())]
-            results += [closest_pair_kway(ps, a, OpCounter()) for a in (2, 3, 16, math.isqrt(n), n - 1, n)]
-            for r in results:
+            for r in self.solves(ps):
                 assert 0 <= r.i < r.j < n
                 assert squared_distance(ps[r.i], ps[r.j], OpCounter()) == r.dist_sq
                 dists.add(r.dist_sq.hex())
         assert len(dists) == 1
+
+    @INPUTS
+    @pytest.mark.parametrize("power", [8, -8])
+    def test_power_of_two_scaling(self, coords, power):
+        scale = 2.0**power
+        scaled = [(x * scale, y * scale) for x, y in coords]
+        # The scaling is exact here: dividing undoes it, and no coordinate is subnormal.
+        assert all(sx / scale == x and sy / scale == y for (x, y), (sx, sy) in zip(coords, scaled))
+        assert all(v == 0.0 or abs(v) >= 2.0**-1022 for xy in scaled for v in xy)
+        for r, s in zip(self.solves(point_set(coords)), self.solves(point_set(scaled)), strict=True):
+            assert (s.i, s.j, s.dc_used) == (r.i, r.j, r.dc_used)
+            assert s.dist_sq.hex() == (r.dist_sq * 4.0**power).hex()
 
 
 class TestFloatEdges:

@@ -21,6 +21,9 @@ second mutant, by ``B``.  The targets and the tests each runs against:
 - ``run_sweep``, ``argmin_partition``, ``run_trials`` and ``growth_check``
   in ``experiments.py``, the harnesses' argument checks, tie rule, worker
   count and sweep row: ``tests/test_experiments.py`` and ``tests/test_cli.py``.
+- ``gen_uniform_points`` and its block kernel ``_splitmix64_block`` in
+  ``experiments.py``, the block bounds and the lane layout:
+  ``tests/test_experiments.py``.
 
 Each mutant is written with ``ast.unparse`` into a copy of <src> in a
 temporary directory, next to copies of this repository's ``tests/``,
@@ -65,6 +68,7 @@ TARGETS = (
       for name in ("_cmd_solve", "_cmd_sweep", "_cmd_trials", "_check_a_range", "_cmd_model", "_cmd_gen", "main")),
     *(("experiments.py", name, ("tests/test_experiments.py", "tests/test_cli.py"))
       for name in ("run_sweep", "argmin_partition", "run_trials", "growth_check")),
+    *(("experiments.py", name, ("tests/test_experiments.py",)) for name in ("gen_uniform_points", "_splitmix64_block")),
 )
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
