@@ -1,5 +1,3 @@
-import dataclasses
-import pickle
 import tracemalloc
 from itertools import islice
 
@@ -146,60 +144,6 @@ class TestRunSweep:
     def test_precondition_errors(self, n, a_lo, a_hi, err):
         with pytest.raises(err):
             run_sweep(n, 0, a_lo, a_hi)
-
-
-class TestSweepRecord:
-    """The sweep record behaves as a frozen dataclass, whatever builds it."""
-
-    def test_fields_and_keywords(self):
-        r = SweepRecord(5, 12, 0.5)
-        assert (r.a, r.dc_measured, r.dist) == (5, 12, 0.5)
-        assert SweepRecord(dist=0.5, dc_measured=12, a=5) == r
-        assert [f.name for f in dataclasses.fields(SweepRecord)] == ["a", "dc_measured", "dist"]
-        with pytest.raises(TypeError):
-            SweepRecord(5, 12)
-
-    def test_equality_and_hash(self):
-        r = SweepRecord(5, 12, 0.5)
-        assert r == SweepRecord(5, 12, 0.5)
-        assert hash(r) == hash(SweepRecord(5, 12, 0.5))
-        assert r != SweepRecord(5, 13, 0.5)
-        assert r != (5, 12, 0.5)
-        assert len({r, SweepRecord(5, 12, 0.5), SweepRecord(12, 5, 0.5)}) == 2
-
-    def test_repr(self):
-        assert repr(SweepRecord(2, 3, 0.125)) == "SweepRecord(a=2, dc_measured=3, dist=0.125)"
-
-    def test_replace(self):
-        r = SweepRecord(5, 12, 0.5)
-        assert dataclasses.replace(r, a=6) == SweepRecord(6, 12, 0.5)
-        assert r.a == 5
-
-    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
-    def test_pickle_round_trip(self, protocol):
-        r = SweepRecord(7, 40, 3e-200)
-        q = pickle.loads(pickle.dumps(r, protocol))
-        assert type(q) is SweepRecord and q == r
-
-    @pytest.mark.parametrize("field", ["a", "dc_measured", "dist"])
-    def test_frozen(self, field):
-        r = SweepRecord(5, 12, 0.5)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(r, field, 0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(r, field)
-        assert r == SweepRecord(5, 12, 0.5)
-        assert not hasattr(r, "__dict__")
-
-    def test_unknown_attribute(self):
-        # TypeError on Python 3.11, as for ``Point`` (tests/test_geometry.py)
-        r = SweepRecord(5, 12, 0.5)
-        with pytest.raises((TypeError, AttributeError)):
-            r.z = 1
-        with pytest.raises((TypeError, AttributeError)):
-            del r.z
-        assert r == SweepRecord(5, 12, 0.5)
-        assert not hasattr(r, "z")
 
 
 class TestArgminPartition:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closepair.cost_model import CostBreakdown
+from closepair.experiments import SweepRecord
 from closepair.geometry import ClosestPairResult, OpCounter, Point, PointSet, final_distance, squared_distance
 
 from conftest import coord_pairs, dyadic_pairs
@@ -91,42 +93,12 @@ class TestPoint:
         with pytest.raises(TypeError):
             Point(0.0, None)
 
-    def test_frozen(self):
-        p = Point(1.0, 2.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            p.x = 3.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            del p.y
-        assert (p.x, p.y) == (1.0, 2.0)
-        assert not hasattr(p, "__dict__")
-
-    def test_unknown_attribute(self):
-        # Python 3.11's frozen slotted dataclass raises TypeError here (a
-        # CPython bug in its generated __setattr__); later versions raise
-        # FrozenInstanceError, an AttributeError.
-        p = Point(1.0, 2.0)
-        with pytest.raises((TypeError, AttributeError)):
-            p.z = 1
-        with pytest.raises((TypeError, AttributeError)):
-            del p.z
-        assert (p.x, p.y) == (1.0, 2.0)
-        assert not hasattr(p, "z")
-
     def test_equality_and_hash(self):
         assert Point(1, 2) == Point(1.0, 2.0)
         assert hash(Point(1, 2)) == hash(Point(1.0, 2.0))
         assert Point(-0.0, 0.5) == Point(0.0, 0.5)
         assert hash(Point(-0.0, 0.5)) == hash(Point(0.0, 0.5))
-        assert Point(1.0, 2.0) != Point(2.0, 1.0)
-        assert Point(1.0, 2.0) != (1.0, 2.0)
         assert len({Point(1.0, 2.0), Point(1, 2), Point(2.0, 1.0)}) == 2
-
-    def test_repr_and_keywords(self):
-        assert repr(Point(1.5, -2.0)) == "Point(x=1.5, y=-2.0)"
-        assert Point(y=2.0, x=1.0) == Point(1.0, 2.0)
-        assert Point(1.0, y=2.0) == Point(1.0, 2.0)
-        with pytest.raises(TypeError):
-            Point(1.0)
 
     def test_replace_validates(self):
         p = Point(1.0, 2.0)
@@ -134,13 +106,6 @@ class TestPoint:
         with pytest.raises(ValueError):
             dataclasses.replace(p, x=math.nan)
         assert [f.name for f in dataclasses.fields(Point)] == ["x", "y"]
-
-    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
-    def test_pickle_round_trip(self, protocol):
-        p = Point(0.1, -3e300)
-        q = pickle.loads(pickle.dumps(p, protocol))
-        assert type(q) is Point and q == p
-        assert (q.x, q.y) == (0.1, -3e300)
 
     def test_match(self):
         assert Point.__match_args__ == ("x", "y")
@@ -187,55 +152,79 @@ class TestOpCounter:
         assert OpCounter().dc == 0
 
 
-class TestClosestPairResult:
-    """The result record behaves as a frozen dataclass, whatever builds it."""
+RECORDS = {
+    # type, field names, a sample's values, and the pinned repr of a second
+    # instance whose every field differs from the sample's
+    "Point": (Point, ("x", "y"), (0.1, -3e300), (1.5, -2.0), "Point(x=1.5, y=-2.0)"),
+    "ClosestPairResult": (ClosestPairResult, ("i", "j", "dist_sq", "dc_used"), (3, 5, 2e-300, 11),
+                          (0, 2, 1.5, 3), "ClosestPairResult(i=0, j=2, dist_sq=1.5, dc_used=3)"),
+    "SweepRecord": (SweepRecord, ("a", "dc_measured", "dist"), (7, 40, 3e-200),
+                    (2, 3, 0.125), "SweepRecord(a=2, dc_measured=3, dist=0.125)"),
+    "CostBreakdown": (CostBreakdown, ("n", "a", "strip_cost", "local_cost", "total"), (8, 2, 24.0, 12.0, 36.0),
+                      (50, 50, 98.0, 0.0, 98.0), "CostBreakdown(n=50, a=50, strip_cost=98.0, local_cost=0.0, total=98.0)"),
+}
 
-    def test_fields_and_keywords(self):
-        r = ClosestPairResult(1, 4, 0.25, 7)
-        assert (r.i, r.j, r.dist_sq, r.dc_used) == (1, 4, 0.25, 7)
-        assert ClosestPairResult(dc_used=7, dist_sq=0.25, j=4, i=1) == r
-        assert [f.name for f in dataclasses.fields(ClosestPairResult)] == ["i", "j", "dist_sq", "dc_used"]
+
+@pytest.mark.parametrize("cls, fields, values, other, text", RECORDS.values(), ids=list(RECORDS))
+class TestFrozenRecords:
+    """Each record type behaves as a frozen, slotted dataclass, whatever builds it."""
+
+    @staticmethod
+    def with_field(values, other, k):
+        """``values`` with its k-th entry taken from ``other``."""
+        return (*values[:k], other[k], *values[k + 1:])
+
+    def test_fields_and_keywords(self, cls, fields, values, other, text):
+        r = cls(*values)
+        assert tuple(getattr(r, f) for f in fields) == values
+        assert tuple(f.name for f in dataclasses.fields(cls)) == fields
+        assert cls(**dict(zip(fields[::-1], values[::-1]))) == r
+        assert cls(*values[:-1], **{fields[-1]: values[-1]}) == r
         with pytest.raises(TypeError):
-            ClosestPairResult(1, 4, 0.25)
+            cls(*values[:-1])
 
-    def test_equality_and_hash(self):
-        r = ClosestPairResult(1, 4, 0.25, 7)
-        assert r == ClosestPairResult(1, 4, 0.25, 7)
-        assert hash(r) == hash(ClosestPairResult(1, 4, 0.25, 7))
-        assert r != ClosestPairResult(1, 4, 0.25, 8)
-        assert r != (1, 4, 0.25, 7)
-        assert len({r, ClosestPairResult(1, 4, 0.25, 7), ClosestPairResult(4, 1, 0.25, 7)}) == 2
+    def test_repr(self, cls, fields, values, other, text):
+        assert repr(cls(*other)) == text
 
-    def test_repr(self):
-        assert repr(ClosestPairResult(0, 2, 1.5, 3)) == "ClosestPairResult(i=0, j=2, dist_sq=1.5, dc_used=3)"
+    def test_equality_and_hash(self, cls, fields, values, other, text):
+        r = cls(*values)
+        assert r == cls(*values)
+        assert hash(r) == hash(cls(*values))
+        assert r != values
+        for k in range(len(fields)):
+            assert r != cls(*self.with_field(values, other, k))
+        assert len({r, cls(*values), cls(values[1], values[0], *values[2:])}) == 2
 
-    def test_replace(self):
-        r = ClosestPairResult(1, 4, 0.25, 7)
-        assert dataclasses.replace(r, dc_used=9) == ClosestPairResult(1, 4, 0.25, 9)
-        assert r.dc_used == 7
+    def test_replace(self, cls, fields, values, other, text):
+        r = cls(*values)
+        for k, f in enumerate(fields):
+            assert dataclasses.replace(r, **{f: other[k]}) == cls(*self.with_field(values, other, k))
+        assert r == cls(*values)
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
-    def test_pickle_round_trip(self, protocol):
-        r = ClosestPairResult(3, 5, 2e-300, 11)
-        q = pickle.loads(pickle.dumps(r, protocol))
-        assert type(q) is ClosestPairResult and q == r
+    def test_pickle_round_trip(self, cls, fields, values, other, text, protocol):
+        q = pickle.loads(pickle.dumps(cls(*values), protocol))
+        assert type(q) is cls and q == cls(*values)
+        assert tuple(getattr(q, f) for f in fields) == values
 
-    @pytest.mark.parametrize("field", ["i", "j", "dist_sq", "dc_used"])
-    def test_frozen(self, field):
-        r = ClosestPairResult(1, 4, 0.25, 7)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(r, field, 0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(r, field)
-        assert r == ClosestPairResult(1, 4, 0.25, 7)
+    def test_frozen(self, cls, fields, values, other, text):
+        r = cls(*values)
+        for f in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, f, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(r, f)
+        assert tuple(getattr(r, f) for f in fields) == values
         assert not hasattr(r, "__dict__")
 
-    def test_unknown_attribute(self):
-        # TypeError on Python 3.11, as for ``Point``
-        r = ClosestPairResult(1, 4, 0.25, 7)
+    def test_unknown_attribute(self, cls, fields, values, other, text):
+        # Python 3.11's frozen slotted dataclass raises TypeError here (a
+        # CPython bug in its generated __setattr__); later versions raise
+        # FrozenInstanceError, an AttributeError.
+        r = cls(*values)
         with pytest.raises((TypeError, AttributeError)):
             r.z = 1
         with pytest.raises((TypeError, AttributeError)):
             del r.z
-        assert r == ClosestPairResult(1, 4, 0.25, 7)
+        assert r == cls(*values)
         assert not hasattr(r, "z")

@@ -1,14 +1,14 @@
-"""Bytecode operations the solver core executes on a fixed set of cases.
+"""Bytecode operations the package executes on a fixed set of cases.
 
 Usage: python3 tools/opcount.py <src>
 
 Imports ``closepair`` from the source directory <src>, runs each case below
 under ``sys.settrace`` with per-opcode events, and prints one line per case:
-its name and the number of opcodes executed in frames of the modules
-``closepair.solvers`` and ``closepair.geometry``.  The last line is the total.
-Counts depend only on the code and the Python version, not on the machine's
-load, so two source trees can be compared case by case where wall time is too
-noisy to tell.
+its name and the number of opcodes executed in frames of the modules whose
+name starts with ``closepair.``.  The last line is the total.  Counts depend
+only on the code and the Python version, not on the machine's load, so two
+source trees can be compared case by case where wall time is too noisy to
+tell.
 
 A call into C counts as the one opcode that makes it, whatever it costs: a
 slice, ``sorted``, ``bisect_left``, ``len`` and a list display each read as
@@ -18,6 +18,8 @@ one-point right run as its rank instead of a one-element list, building
 each strip as one list and folding 2- and 3-point regions by straight-line
 code cut the n=50 sweeps from 2,365,086 to 2,318,495 opcodes (-2.0%), while
 the same solves ran about 7% faster in process (2-vCPU VM, Python 3.11.7).
+Both readings counted frames of ``closepair.solvers`` and
+``closepair.geometry`` only.
 
 Frames are selected by their globals' ``__name__``, not by file name: the
 methods ``dataclass`` generates, such as ``ClosestPairResult.__init__``, are
@@ -30,6 +32,8 @@ three of the benchmark's ``degenerate_mix`` (two columns, vertical line,
 duplicate grid, shuffled and translated by ``random.Random(1)``), tiny x
 (``x = random() * 1e-9, y = k``, ``random.Random(5)``) and sliding window
 (``x = k / 64, y = (37 k) mod n``), built by ``tools/differential.py``.
+Only the sweeps build their instances inside the count, so only they count
+``run_sweep`` and the generator; every other case counts one solve.
 Standard library only; exits 2 on a usage error.
 """
 
@@ -37,11 +41,9 @@ import sys
 
 import differential
 
-COUNTED = ("closepair.solvers", "closepair.geometry")
-
 
 def count(run):
-    """Opcodes executed in the counted modules while ``run()`` runs."""
+    """Opcodes executed in the package's modules while ``run()`` runs."""
     ops = [0]
 
     def local(frame, event, arg):
@@ -50,7 +52,7 @@ def count(run):
         return local
 
     def calls(frame, event, arg):
-        if frame.f_globals.get("__name__") in COUNTED:
+        if frame.f_globals.get("__name__", "").startswith("closepair."):
             frame.f_trace_opcodes = True
             return local
         return None
