@@ -171,6 +171,13 @@ class TestErrorPathPins:
 
 
 class TestSolve:
+    def test_brute_exact_line(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n3 4\n")
+        code, out, err = run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys)
+        assert code == 0
+        assert out == "0 1 5 1\n"
+
     def test_two_way(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("0 0\n1 0\n5 5\n")
@@ -184,6 +191,46 @@ class TestSolve:
         code, out, _ = run_cli(["solve", "--input", str(f), "--algo", "kway", "--a", "4"], capsys)
         assert code == 0
         assert out == "0 1 1 3\n"
+
+    def test_parse_error_exits_2_and_names_line(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n1.0 abc\n")
+        code, out, err = run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "line 2" in err
+
+    def test_missing_file_exits_2(self, capsys):
+        code, _, err = run_cli(["solve", "--input", "/nonexistent/p.txt", "--algo", "brute"], capsys)
+        assert code == 2
+        assert err
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_bytes(b"\xff\xfe1 2\n")
+        code, out, err = run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "UTF-8" in err
+
+    def test_single_point_exits_3(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n")
+        code, _, err = run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys)
+        assert code == 3
+
+    def test_kway_requires_a(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n1 1\n")
+        code, _, err = run_cli(["solve", "--input", str(f), "--algo", "kway"], capsys)
+        assert code == 3
+        assert "--a" in err
+
+    def test_a_only_valid_for_kway(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n1 1\n")
+        code, _, err = run_cli(["solve", "--input", str(f), "--algo", "brute", "--a", "2"], capsys)
+        assert code == 3
 
     @pytest.mark.parametrize(
         "a, err",
@@ -214,6 +261,18 @@ class TestSweep:
         distances = {line.split(",")[2] for line in lines[1:]}
         assert len(distances) == 1
 
+    def test_deterministic_bytes(self, capsys):
+        args = ["sweep", "--n", "20", "--seed", "9", "--a-min", "2", "--a-max", "20"]
+        _, first, _ = run_cli(args, capsys)
+        _, second, _ = run_cli(args, capsys)
+        assert first == second
+
+    def test_invalid_range_exits_3(self, capsys):
+        code, _, _ = run_cli(
+            ["sweep", "--n", "10", "--seed", "1", "--a-min", "1", "--a-max", "5"], capsys
+        )
+        assert code == 3
+
 
 class TestTrials:
     def test_n2_single_row(self, capsys):
@@ -229,6 +288,24 @@ class TestTrials:
         assert len(lines) == 1 + 49
         assert sum(int(line.split(",")[1]) for line in lines[1:]) == 100
         assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(2, 51))
+
+    def test_jobs_do_not_change_bytes(self, capsys):
+        base = ["trials", "--n", "8", "--trials", "12", "--seed", "44"]
+        _, seq, _ = run_cli(base + ["--jobs", "1"], capsys)
+        _, par, _ = run_cli(base + ["--jobs", "2"], capsys)
+        assert seq == par
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["trials", "--n", "1", "--trials", "5", "--seed", "0"],
+            ["trials", "--n", "5", "--trials", "0", "--seed", "0"],
+            ["trials", "--n", "5", "--trials", "5", "--seed", "0", "--jobs", "0"],
+        ],
+    )
+    def test_invalid_arguments_exit_3(self, args, capsys):
+        code, _, _ = run_cli(args, capsys)
+        assert code == 3
 
 
 class TestModel:
@@ -248,6 +325,10 @@ class TestModel:
         assert float(row[1]) == pytest.approx(24.0, rel=1e-9)
         assert float(row[2]) == 12.0
         assert float(row[3]) == pytest.approx(36.0, rel=1e-9)
+
+    def test_invalid_range_exits_3(self, capsys):
+        code, _, _ = run_cli(["model", "--n", "10", "--a-min", "2", "--a-max", "11"], capsys)
+        assert code == 3
 
 
 class TestGen:
@@ -282,6 +363,11 @@ class TestUsageErrors:
 
 
 class TestErrorMapping:
+    def test_negative_gen_count_exits_3(self, capsys):
+        code, out, err = run_cli(["gen", "--n", "-1", "--seed", "1"], capsys)
+        assert code == 3
+        assert out == "" and "point count" in err
+
     @pytest.mark.parametrize("algo", [["brute"], ["two"], ["kway", "--a", "3"]])
     def test_distance_overflow_exits_3(self, algo, tmp_path, capsys):
         f = tmp_path / "far.txt"

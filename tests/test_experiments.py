@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from itertools import islice
 
@@ -144,6 +145,18 @@ class TestRunSweep:
     def test_precondition_errors(self, n, a_lo, a_hi, err):
         with pytest.raises(err):
             run_sweep(n, 0, a_lo, a_hi)
+
+
+class TestSweepRecord:
+    @pytest.mark.parametrize("field", ["a", "dc_measured", "dist"])
+    def test_frozen(self, field):
+        r = SweepRecord(5, 12, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, field, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(r, field)
+        assert r == SweepRecord(5, 12, 0.5)
+        assert not hasattr(r, "__dict__")
 
 
 class TestArgminPartition:

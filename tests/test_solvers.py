@@ -173,9 +173,30 @@ class TestStripScan:
 
 
 class TestTwoWay:
+    def test_two_points(self):
+        r = closest_pair_2way(point_set([(0, 0), (3, 4)]), OpCounter())
+        assert (r.i, r.j, r.dist_sq) == (0, 1, 25.0)
+
     def test_collinear_hand_checkable(self):
         r = closest_pair_2way(point_set([(0, 0), (2, 0), (2.5, 0), (7, 0)]), OpCounter())
         assert r.dist_sq == 0.25
+
+    def test_thousand_points_against_oracle(self):
+        ps = gen_uniform_points(1000, 31337)
+        c = OpCounter()
+        r = closest_pair_2way(ps, c)
+        assert r.dist_sq == oracle_min_dist_sq(ps.points)
+        assert r.dc_used < 500_000
+
+    def test_result_pair_realizes_value(self):
+        ps = gen_uniform_points(300, 5)
+        r = closest_pair_2way(ps, OpCounter())
+        assert squared_distance(ps[r.i], ps[r.j], OpCounter()) == r.dist_sq
+        assert 0 <= r.i < r.j < len(ps)
+
+    def test_insufficient_points(self):
+        with pytest.raises(InsufficientPoints):
+            closest_pair_2way(point_set([(1, 2)]), OpCounter())
 
     @given(point_lists)
     @settings(max_examples=200)
