@@ -146,6 +146,10 @@ class TestPointSet:
         assert PointSet.from_coords([(1, 2)]) == PointSet.from_coords([(1, 2)])
         assert PointSet.from_coords([(1, 2)]) != PointSet.from_coords([(2, 1)])
 
+    def test_repr(self):
+        assert repr(PointSet([])) == "PointSet(n=0)"
+        assert repr(PointSet.from_coords([(0, 1), (2, 3), (0, 1)])) == "PointSet(n=3)"
+
 
 class TestOpCounter:
     def test_starts_at_zero(self):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from bisect import insort
@@ -31,44 +32,92 @@ from conftest import (
 point_lists = st.lists(coord_pairs, min_size=2, max_size=24)
 
 
+SOLVERS = {
+    "brute": brute_force,
+    "2way": closest_pair_2way,
+    "kway a=2": lambda ps, c: closest_pair_kway(ps, 2, c),
+    "kway a=3": lambda ps, c: closest_pair_kway(ps, 3, c),
+    "kway a=16": lambda ps, c: closest_pair_kway(ps, 16, c),
+    "kway a=n": lambda ps, c: closest_pair_kway(ps, len(ps), c),
+}
+
+
+@functools.cache
+def seeded_oracle(n, seed):
+    """``oracle_min_dist_sq`` of ``gen_uniform_points(n, seed)``, computed once per instance."""
+    return oracle_min_dist_sq(gen_uniform_points(n, seed).points)
+
+
+class TestEverySolver:
+    """What every solver must do, checked on brute force, 2-way and k-way at a = 2, 3, 16 and n."""
+
+    HAND_CHECKED = {
+        "two points": ([(0, 0), (3, 4)], (0, 1, 25.0)),
+        "one obvious pair": ([(0, 0), (1, 0), (5, 5)], (0, 1, 1.0)),
+        "duplicate points": ([(0, 0), (0, 0), (9, 9)], (0, 1, 0.0)),
+        "collinear four": ([(0, 0), (2, 0), (2.5, 0), (7, 0)], (1, 2, 0.25)),
+        # every point shares one x value: split and line placement rely on tie-breaks
+        "one x column": ([(1, 9), (1, 0), (1, 4), (1, 4.5), (1, -3), (1, 20)], (2, 3, 0.25)),
+        "five identical": ([(2, 2)] * 5, (0, 1, 0.0)),
+    }
+    SEEDED = [(40, 99), (100, 20260811), (120, 11), (300, 5), (1000, 31337)]
+
+    @pytest.fixture(params=SOLVERS.values(), ids=list(SOLVERS))
+    def solve(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("coords, expected", HAND_CHECKED.values(), ids=list(HAND_CHECKED))
+    def test_hand_checked(self, solve, coords, expected):
+        n = len(coords)
+        r = solve(point_set(coords), OpCounter())
+        assert (r.i, r.j, r.dist_sq) == expected
+        if n <= 3:
+            assert r.dc_used == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("n, seed", SEEDED, ids=[f"n={n} seed={seed}" for n, seed in SEEDED])
+    def test_seeded_against_oracle(self, solve, n, seed):
+        ps = gen_uniform_points(n, seed)
+        r = solve(ps, OpCounter())
+        assert r.dist_sq == seeded_oracle(n, seed)
+        assert 0 <= r.i < r.j < n
+        assert squared_distance(ps[r.i], ps[r.j], OpCounter()) == r.dist_sq
+        assert r.dc_used <= n * (n - 1) // 2
+
+    @pytest.mark.parametrize("coords", [[], [(1, 1)]], ids=["no points", "one point"])
+    def test_insufficient_points(self, solve, coords):
+        with pytest.raises(InsufficientPoints):
+            solve(point_set(coords), OpCounter())
+
+    def test_overflow_to_inf_raises(self, solve):
+        # every pair is about 1e200 apart, so every squared distance is inf
+        ps = point_set([(0.0, 0.0), (1e200, 0.0), (0.0, 1e200), (-1e200, -1e200)])
+        with pytest.raises(DistanceOverflow):
+            solve(ps, OpCounter())
+
+    def test_one_finite_pair_among_overflows(self, solve):
+        ps = point_set([(0.0, 0.0), (1e200, 0.0), (1e200, 1.0), (-1e200, 5.0)])
+        r = solve(ps, OpCounter())
+        assert (r.i, r.j, r.dist_sq) == (1, 2, 1.0)
+
+    def test_underflow_reports_zero_for_distinct_points(self, solve):
+        # documented: a squared distance below the smallest subnormal is 0
+        ps = point_set([(0.0, 0.0), (1e-170, 0.0), (5.0, 5.0), (5.0, 6.0)])
+        r = solve(ps, OpCounter())
+        assert ps[0] != ps[1]
+        assert (r.i, r.j, r.dist_sq) == (0, 1, 0.0)
+
+
 class TestBruteForce:
-    def test_single_pair(self):
-        r = brute_force(point_set([(0, 0), (3, 4)]), OpCounter())
-        assert (r.i, r.j, r.dist_sq, r.dc_used) == (0, 1, 25.0, 1)
-
-    def test_one_obvious_pair(self):
-        r = brute_force(point_set([(0, 0), (1, 0), (5, 5)]), OpCounter())
-        assert (r.i, r.j, r.dist_sq, r.dc_used) == (0, 1, 1.0, 3)
-
-    def test_duplicate_points(self):
-        r = brute_force(point_set([(0, 0), (0, 0), (9, 9)]), OpCounter())
-        assert (r.i, r.j, r.dist_sq, r.dc_used) == (0, 1, 0.0, 3)
-
     def test_keeps_first_pair_in_input_order_on_tie(self):
         # four pairs of the unit square's corners tie at 1; the first wins
         r = brute_force(point_set([(0, 0), (1, 0), (1, 1), (0, 1)]), OpCounter())
         assert (r.i, r.j, r.dist_sq) == (0, 1, 1.0)
-
-    def test_matches_independent_recomputation(self):
-        ps = gen_uniform_points(100, 20260811)
-        r = brute_force(ps, OpCounter())
-        assert r.dist_sq == oracle_min_dist_sq(ps.points)
 
     @pytest.mark.parametrize("n", [2, 5, 17, 60])
     def test_exact_pair_count(self, n):
         c = OpCounter()
         r = brute_force(gen_uniform_points(n, n), c)
         assert r.dc_used == c.dc == n * (n - 1) // 2
-
-    def test_result_pair_realizes_value(self):
-        ps = gen_uniform_points(40, 99)
-        r = brute_force(ps, OpCounter())
-        assert squared_distance(ps[r.i], ps[r.j], OpCounter()) == r.dist_sq
-
-    @pytest.mark.parametrize("coords", [[], [(1, 1)]])
-    def test_insufficient_points(self, coords):
-        with pytest.raises(InsufficientPoints):
-            brute_force(point_set(coords), OpCounter())
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=24))
@@ -173,42 +222,11 @@ class TestStripScan:
 
 
 class TestTwoWay:
-    def test_two_points(self):
-        r = closest_pair_2way(point_set([(0, 0), (3, 4)]), OpCounter())
-        assert (r.i, r.j, r.dist_sq) == (0, 1, 25.0)
-
-    def test_collinear_hand_checkable(self):
-        r = closest_pair_2way(point_set([(0, 0), (2, 0), (2.5, 0), (7, 0)]), OpCounter())
-        assert r.dist_sq == 0.25
-
-    def test_thousand_points_against_oracle(self):
-        ps = gen_uniform_points(1000, 31337)
-        c = OpCounter()
-        r = closest_pair_2way(ps, c)
-        assert r.dist_sq == oracle_min_dist_sq(ps.points)
-        assert r.dc_used < 500_000
-
-    def test_result_pair_realizes_value(self):
-        ps = gen_uniform_points(300, 5)
-        r = closest_pair_2way(ps, OpCounter())
-        assert squared_distance(ps[r.i], ps[r.j], OpCounter()) == r.dist_sq
-        assert 0 <= r.i < r.j < len(ps)
-
-    def test_insufficient_points(self):
-        with pytest.raises(InsufficientPoints):
-            closest_pair_2way(point_set([(1, 2)]), OpCounter())
-
     @given(point_lists)
     @settings(max_examples=200)
     def test_oracle_equivalence(self, coords):
         ps = point_set(coords)
         assert closest_pair_2way(ps, OpCounter()).dist_sq == oracle_min_dist_sq(ps.points)
-
-    def test_duplicate_x_columns(self):
-        # every point shares one x value: split and line placement rely on tie-breaks
-        ps = point_set([(1, 9), (1, 0), (1, 4), (1, 4.5), (1, -3), (1, 20)])
-        r = closest_pair_2way(ps, OpCounter())
-        assert r.dist_sq == 0.25
 
 
 class TestKWay:
@@ -221,10 +239,6 @@ class TestKWay:
         # hold one point per side within it, one cross pair each: (1, 2) and
         # (2, 3)
         assert r.dc_used == 3
-
-    def test_two_points(self):
-        r = closest_pair_kway(point_set([(0, 0), (3, 4)]), 2, OpCounter())
-        assert (r.i, r.j, r.dist_sq) == (0, 1, 25.0)
 
     def test_every_a_matches_oracle(self):
         ps = gen_uniform_points(50, 777)
@@ -243,10 +257,6 @@ class TestKWay:
         for a in (1, 0, -3):
             with pytest.raises(InvalidPartition):
                 closest_pair_kway(ps, a, OpCounter())
-
-    def test_insufficient_points(self):
-        with pytest.raises(InsufficientPoints):
-            closest_pair_kway(point_set([(1, 2)]), 2, OpCounter())
 
     def test_a2_coincides_with_two_way(self):
         for seed in range(10):
@@ -278,14 +288,10 @@ class TestKWay:
         r = closest_pair_kway(ps, 2, OpCounter())
         assert (r.i, r.j) == (1, 2)
 
-    def test_all_points_identical(self):
-        ps = point_set([(2, 2)] * 5)
-        for a in (2, 3, 5):
-            assert closest_pair_kway(ps, a, OpCounter()).dist_sq == 0.0
-
     def test_result_pair_realizes_value(self):
+        # a = 2 and n are in TestEverySolver
         ps = gen_uniform_points(120, 11)
-        for a in (2, 7, 60, 120):
+        for a in (7, 60):
             r = closest_pair_kway(ps, a, OpCounter())
             assert squared_distance(ps[r.i], ps[r.j], OpCounter()) == r.dist_sq
             assert 0 <= r.i < r.j < len(ps)
@@ -446,34 +452,6 @@ class TestMetamorphic:
 
 
 class TestFloatEdges:
-    SOLVES = {
-        "brute": lambda ps, c: brute_force(ps, c),
-        "2way": lambda ps, c: closest_pair_2way(ps, c),
-        "kway a=3": lambda ps, c: closest_pair_kway(ps, 3, c),
-        "kway a=n": lambda ps, c: closest_pair_kway(ps, len(ps), c),
-    }
-
-    @pytest.mark.parametrize("solver", list(SOLVES))
-    def test_overflow_to_inf_raises(self, solver):
-        # every pair is about 1e200 apart, so every squared distance is inf
-        ps = point_set([(0.0, 0.0), (1e200, 0.0), (0.0, 1e200), (-1e200, -1e200)])
-        with pytest.raises(DistanceOverflow):
-            self.SOLVES[solver](ps, OpCounter())
-
-    @pytest.mark.parametrize("solver", list(SOLVES))
-    def test_one_finite_pair_among_overflows(self, solver):
-        ps = point_set([(0.0, 0.0), (1e200, 0.0), (1e200, 1.0), (-1e200, 5.0)])
-        r = self.SOLVES[solver](ps, OpCounter())
-        assert (r.i, r.j, r.dist_sq) == (1, 2, 1.0)
-
-    @pytest.mark.parametrize("solver", list(SOLVES))
-    def test_underflow_reports_zero_for_distinct_points(self, solver):
-        # documented: a squared distance below the smallest subnormal is 0
-        ps = point_set([(0.0, 0.0), (1e-170, 0.0), (5.0, 5.0), (5.0, 6.0)])
-        r = self.SOLVES[solver](ps, OpCounter())
-        assert ps[0] != ps[1]
-        assert (r.i, r.j, r.dist_sq) == (0, 1, 0.0)
-
     @pytest.mark.parametrize("a", [2, 3, 16, "n"])
     @pytest.mark.parametrize("x", [1e308, -1e308, 1.7976931348623157e308])
     def test_vertical_line_near_the_largest_float(self, x, a):
