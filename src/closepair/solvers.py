@@ -9,6 +9,7 @@ the others are tested against.
 
 import math
 from bisect import bisect_left, insort
+from itertools import pairwise
 
 from .errors import DistanceOverflow, InsufficientPoints, InvalidPartition
 from .geometry import ClosestPairResult, OpCounter, PointSet, squared_distance
@@ -148,10 +149,14 @@ def balanced_partition(lo: int, hi: int, regions: int) -> list:
     """Stop indices of ``regions`` contiguous runs covering [lo, hi).
 
     Run sizes differ by at most one, the extras going to the leftmost runs.
+    Two runs, the split of every 2-way node, are computed directly: the
+    left run takes the odd point.
     """
     m = hi - lo
     if not 2 <= regions <= m:
         raise InvalidPartition(f"cannot split {m} points into {regions} regions")
+    if regions == 2:
+        return [lo + (m + 1) // 2, hi]
     q, r = divmod(m, regions)
     # r runs of q + 1 points, then regions - r runs of q points
     mid = lo + r * (q + 1)
@@ -185,40 +190,48 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
     # At most m - 1 regions, so the paper's a = n, and any larger ``a``, is
     # the plane sweep.  A node of three or fewer points is one region, which
     # the loop must brute-force, not recurse into.  The running minimum
-    # starts at inf and folds in the regions left to right: one of four or
-    # more points recurses, one of two or three is brute-forced in place
-    # (its x-sorted positions 0, 1, 2 paired as (0, 1), then (0, 2) and
-    # (1, 2)), and a single point has nothing to pair.
+    # ``best`` starts at inf, with its distance ``window``, and folds in the
+    # regions left to right: one of four or more points recurses, and one of
+    # two or three is brute-forced in place (its x-sorted positions 0, 1, 2
+    # paired as (0, 1), then (0, 2) and (1, 2)).  Run sizes never grow left
+    # to right, so the fold stops at the first one-point region: it and
+    # every region after it have nothing to pair.
     stops = [hi] if m <= 3 else balanced_partition(lo, hi, a if a < m else m - 1)
     best = (math.inf, -1, -1)
+    window = math.inf
     start = lo
     for stop in stops:
-        if stop - start > 1:
-            if stop - start > 3:
-                sub = _solve(xs, rank, ypts, start, stop, a, counter)
-                if sub[0] < best[0]:
-                    best = sub
-            else:
-                r = rank[start]
-                s = rank[start + 1]
-                p = ypts[r]
-                q = ypts[s]
-                d = squared_distance(p, q, counter)
-                if d < best[0]:
-                    best = (d, r, s)
-                if stop - start == 3:
-                    t = rank[start + 2]
-                    u = ypts[t]
-                    d = squared_distance(p, u, counter)
-                    if d < best[0]:
-                        best = (d, r, t)
-                    d = squared_distance(q, u, counter)
-                    if d < best[0]:
-                        best = (d, s, t)
+        if stop - start > 3:
+            sub = _solve(xs, rank, ypts, start, stop, a, counter)
+            if sub[0] < window:
+                best = sub
+                window = sub[0]
+        elif stop - start > 1:
+            r = rank[start]
+            s = rank[start + 1]
+            p = ypts[r]
+            q = ypts[s]
+            d = squared_distance(p, q, counter)
+            if d < window:
+                best = (d, r, s)
+                window = d
+            if stop - start == 3:
+                t = rank[start + 2]
+                u = ypts[t]
+                d = squared_distance(p, u, counter)
+                if d < window:
+                    best = (d, r, t)
+                    window = d
+                d = squared_distance(q, u, counter)
+                if d < window:
+                    best = (d, s, t)
+                    window = d
+        else:
+            break
         start = stop
     # Only a strictly closer pair replaces the minimum, so once it is 0 no
     # line can keep anything.
-    if best[0] == 0:
+    if window == 0:
         return best
     # A pair with points in regions s < r is a cross pair at line r-1 only,
     # where both points lie within d(p, q) of the line: a pair closer than
@@ -232,16 +245,16 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
     # line only moves right and the window only shrinks, so a left point
     # out of the window stays out: ``first``, the first in-window position,
     # never moves left, and ``left`` carries the y-ranks of positions
-    # [first, held) from line to line.
+    # [first, held) from line to line.  ``window`` changes only when a
+    # strip scan returns.
     first = held = lo
-    for boundary, end in zip(stops, stops[1:]):
+    for boundary, end in pairwise(stops):
         # The line lies between positions boundary - 1 and boundary, at
         # their midpoint, or on their x when they share it: the midpoint of
         # two equal x values near the largest float overflows.
         xl = xs[boundary - 1]
         xr = xs[boundary]
         x_line = xl if xl == xr else (xl + xr) / 2.0
-        window = best[0]
         # dx only grows rightward: if the right region's far end is in the
         # window, all of it is.  Otherwise walk right from the line, starting
         # at the x just read; the far end is out, so the walk stops there at
@@ -327,4 +340,5 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
             else:
                 strip += right
             best = strip_scan(strip, stop - keep, ypts, best, counter)
+            window = best[0]
     return best

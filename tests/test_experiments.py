@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 from itertools import islice
 
@@ -63,6 +64,16 @@ class TestSplitmix64Block:
         assert self.kernel_draws(seed, count, 0) == stream
         # 33 is the largest shift that keeps the lanes apart.
         assert self.kernel_draws(seed, count, 33) == [u >> 33 for u in stream]
+
+    def test_other_byte_order_swaps_each_word(self, monkeypatch):
+        # The kernel unpacks little-endian bytes into native words and swaps
+        # them on a big-endian machine, so patching in the opposite byte
+        # order must swap every word.
+        other = "big" if sys.byteorder == "little" else "little"
+        stream = list(islice(splitmix64_stream(5), 3))
+        monkeypatch.setattr(sys, "byteorder", other)
+        words = experiments._splitmix64_block(5, 0, 3, 0)
+        assert list(words) == [int.from_bytes(u.to_bytes(8, "little"), "big") for u in stream]
 
     @pytest.mark.parametrize("n", [0, 1, B // 2, B // 2 + 1, 3 * B // 2 + 1])
     def test_gen_equals_the_per_point_loop(self, n):

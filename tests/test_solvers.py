@@ -664,6 +664,17 @@ class TestBalancedPartition:
         # extras go to the leftmost regions
         assert sizes == sorted(sizes, reverse=True)
 
+    @pytest.mark.parametrize("lo", [0, 17])
+    def test_two_regions(self, lo):
+        # test_invariants draws two regions only when a or m is 2, so the
+        # direct two-run split is checked here at every size: the left run
+        # takes the odd point.  Each call returns a new list.
+        for m in range(2, 301):
+            q, r = divmod(m, 2)
+            stops = balanced_partition(lo, lo + m, 2)
+            assert stops == [lo + q + r, lo + m]
+            assert balanced_partition(lo, lo + m, 2) is not stops
+
     def test_offset_range(self):
         assert balanced_partition(10, 17, 3) == [13, 15, 17]
 
