@@ -18,6 +18,13 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def run_on_file(argv, data, tmp_path, capsys):
+    """``run_cli`` on ``argv`` with each ``{points}`` in it naming a file that holds ``data``."""
+    f = tmp_path / "p.txt"
+    f.write_bytes(data)
+    return run_cli([str(f) if arg == "{points}" else arg for arg in argv], capsys)
+
+
 def run_proc(args, stdin=None):
     return subprocess.run(
         [sys.executable, "-m", "closepair", *args], capture_output=True, input=stdin
@@ -96,9 +103,7 @@ class TestParseErrorPins:
     @pytest.mark.parametrize("case", list(CASES))
     def test_solve_output(self, case, tmp_path, capsys):
         data, code, out, err = self.CASES[case]
-        f = tmp_path / "p.txt"
-        f.write_bytes(data)
-        assert run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys) == (code, out, err)
+        assert run_on_file(["solve", "--input", "{points}", "--algo", "brute"], data, tmp_path, capsys) == (code, out, err)
 
     def test_non_utf8(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
@@ -164,42 +169,42 @@ class TestErrorPathPins:
     @pytest.mark.parametrize("case", list(CASES))
     def test_output(self, case, tmp_path, capsys):
         argv, err = self.CASES[case]
-        f = tmp_path / "p.txt"
-        f.write_text("0 0\n1 1\n")
-        argv = [str(f) if arg == "{points}" else arg for arg in argv]
-        assert run_cli(argv, capsys) == (3, "", err)
+        assert run_on_file(argv, b"0 0\n1 1\n", tmp_path, capsys) == (3, "", err)
+
+
+class TestInvocationPins:
+    """One invocation's exit code, stdout and stderr, byte for byte, with the points file it names.
+
+    A row whose argv names no file holds ``b""`` for its bytes.
+    """
+
+    SOLVE = ["solve", "--input", "{points}", "--algo"]
+    # every pair of these three points is about 1e200 apart
+    FAR = b"0 0\n1e200 0\n0 -1e200\n"
+    OVERFLOW = (3, "", "error: every squared distance overflows to inf: the closest pair is about 1.3e154 or more apart\n")
+    CASES = {
+        "solve brute": ([*SOLVE, "brute"], b"0 0\n3 4\n", (0, "0 1 5 1\n", "")),
+        "solve two": ([*SOLVE, "two"], b"0 0\n1 0\n5 5\n", (0, "0 1 1 3\n", "")),
+        "solve kway a 4": ([*SOLVE, "kway", "--a", "4"], b"0 0\n1 0\n2 0\n3 0\n", (0, "0 1 1 3\n", "")),
+        "solve one point": ([*SOLVE, "brute"], b"0 0\n", (3, "", "error: need at least 2 points, got 1\n")),
+        "solve brute overflow": ([*SOLVE, "brute"], FAR, OVERFLOW),
+        "solve two overflow": ([*SOLVE, "two"], FAR, OVERFLOW),
+        "solve kway a 3 overflow": ([*SOLVE, "kway", "--a", "3"], FAR, OVERFLOW),
+        "trials n 2": (["trials", "--n", "2", "--trials", "5", "--seed", "3"], b"", (0, "a,wins\n2,5\n", "")),
+        "model a equals n": (["model", "--n", "50", "--a-min", "50", "--a-max", "50"], b"",
+                             (0, "a,strip_cost,local_cost,total\n50,98,0,98\n", "")),
+        "model n 2": (["model", "--n", "2", "--a-min", "2", "--a-max", "2"], b"",
+                      (0, "a,strip_cost,local_cost,total\n2,2,0,2\n", "")),
+        "gen n 0": (["gen", "--n", "0", "--seed", "1"], b"", (0, "", "")),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_output(self, case, tmp_path, capsys):
+        argv, data, expected = self.CASES[case]
+        assert run_on_file(argv, data, tmp_path, capsys) == expected
 
 
 class TestSolve:
-    def test_brute_exact_line(self, tmp_path, capsys):
-        f = tmp_path / "p.txt"
-        f.write_text("0 0\n3 4\n")
-        code, out, err = run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys)
-        assert code == 0
-        assert out == "0 1 5 1\n"
-
-    def test_two_way(self, tmp_path, capsys):
-        f = tmp_path / "p.txt"
-        f.write_text("0 0\n1 0\n5 5\n")
-        code, out, _ = run_cli(["solve", "--input", str(f), "--algo", "two"], capsys)
-        assert code == 0
-        assert out == "0 1 1 3\n"
-
-    def test_kway_with_a(self, tmp_path, capsys):
-        f = tmp_path / "p.txt"
-        f.write_text("0 0\n1 0\n2 0\n3 0\n")
-        code, out, _ = run_cli(["solve", "--input", str(f), "--algo", "kway", "--a", "4"], capsys)
-        assert code == 0
-        assert out == "0 1 1 3\n"
-
-    def test_parse_error_exits_2_and_names_line(self, tmp_path, capsys):
-        f = tmp_path / "p.txt"
-        f.write_text("0 0\n1.0 abc\n")
-        code, out, err = run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys)
-        assert code == 2
-        assert out == ""
-        assert "line 2" in err
-
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(["solve", "--input", "/nonexistent/p.txt", "--algo", "brute"], capsys)
         assert code == 2
@@ -212,12 +217,6 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "UTF-8" in err
-
-    def test_single_point_exits_3(self, tmp_path, capsys):
-        f = tmp_path / "p.txt"
-        f.write_text("0 0\n")
-        code, _, err = run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys)
-        assert code == 3
 
     def test_kway_requires_a(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
@@ -275,11 +274,6 @@ class TestSweep:
 
 
 class TestTrials:
-    def test_n2_single_row(self, capsys):
-        code, out, _ = run_cli(["trials", "--n", "2", "--trials", "5", "--seed", "3"], capsys)
-        assert code == 0
-        assert out == "a,wins\n2,5\n"
-
     def test_conservation_with_zero_rows(self, capsys):
         code, out, _ = run_cli(["trials", "--n", "50", "--trials", "100", "--seed", "6"], capsys)
         assert code == 0
@@ -309,15 +303,6 @@ class TestTrials:
 
 
 class TestModel:
-    def test_exact_row_at_a_equals_n(self, capsys):
-        code, out, _ = run_cli(["model", "--n", "50", "--a-min", "50", "--a-max", "50"], capsys)
-        assert code == 0
-        assert out == "a,strip_cost,local_cost,total\n50,98,0,98\n"
-
-    def test_smallest_instance_row(self, capsys):
-        _, out, _ = run_cli(["model", "--n", "2", "--a-min", "2", "--a-max", "2"], capsys)
-        assert out == "a,strip_cost,local_cost,total\n2,2,0,2\n"
-
     def test_direct_evaluation_row(self, capsys):
         _, out, _ = run_cli(["model", "--n", "8", "--a-min", "2", "--a-max", "2"], capsys)
         row = out.splitlines()[1].split(",")
@@ -332,11 +317,6 @@ class TestModel:
 
 
 class TestGen:
-    def test_empty(self, capsys):
-        code, out, _ = run_cli(["gen", "--n", "0", "--seed", "1"], capsys)
-        assert code == 0
-        assert out == ""
-
     def test_round_trip_bit_identical(self, capsys):
         code, out, _ = run_cli(["gen", "--n", "5", "--seed", "123"], capsys)
         assert code == 0
@@ -367,14 +347,6 @@ class TestErrorMapping:
         code, out, err = run_cli(["gen", "--n", "-1", "--seed", "1"], capsys)
         assert code == 3
         assert out == "" and "point count" in err
-
-    @pytest.mark.parametrize("algo", [["brute"], ["two"], ["kway", "--a", "3"]])
-    def test_distance_overflow_exits_3(self, algo, tmp_path, capsys):
-        f = tmp_path / "far.txt"
-        f.write_text("0 0\n1e200 0\n0 -1e200\n")
-        code, out, err = run_cli(["solve", "--input", str(f), "--algo", *algo], capsys)
-        assert code == 3
-        assert out == "" and "overflows to inf" in err
 
     def test_unexpected_value_error_propagates(self, tmp_path, monkeypatch, capsys):
         # an internal bug inside a solver is not a usage error: no exit code 3

@@ -99,25 +99,13 @@ class TestSplitmix64Block:
 
 
 class TestGenUniformPoints:
-    def test_empty(self):
-        assert len(gen_uniform_points(0, 12345)) == 0
-
-    def test_deterministic(self):
-        a = gen_uniform_points(64, 99)
-        b = gen_uniform_points(64, 99)
-        assert a == b
-
+    # The points themselves, n = 0 and the x-then-y draw order included, are
+    # TestSplitmix64Block.test_gen_equals_the_per_point_loop's.
     def test_range_and_mean(self):
         ps = gen_uniform_points(1000, 0xABCDEF)
         assert all(0.0 <= p.x < 1.0 and 0.0 <= p.y < 1.0 for p in ps)
         mean_x = sum(p.x for p in ps) / 1000
         assert abs(mean_x - 0.5) < 0.05
-
-    def test_consumes_x_then_y(self):
-        s = splitmix64_stream(7)
-        expected = [(next(s) >> 11) * 2.0**-53 for _ in range(4)]
-        ps = gen_uniform_points(2, 7)
-        assert [ps[0].x, ps[0].y, ps[1].x, ps[1].y] == expected
 
     def test_different_seeds_differ(self):
         assert gen_uniform_points(8, 1) != gen_uniform_points(8, 2)

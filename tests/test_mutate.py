@@ -4,7 +4,15 @@ Each PR reports the mutation run's survivor counts; an operator that stops
 finding its sites would shrink them silently.  The snippet holds every
 operator's site at least once, and the pins fix the sites, their order and
 two mutated sources, and that every mutant's source is its own.
+
+A target whose scope names no function gets no site either, and its totals
+line reads ``mutants 0`` like a function with nothing to mutate, so each
+target's scope and test files are checked against the tree.
 """
+
+import ast
+
+import pytest
 
 from conftest import _load
 
@@ -108,3 +116,28 @@ def test_only_except_dropped_leaves_the_body():
     k = k + 1 if xs else k - 1
     return k
 ''' + G
+
+
+def defined_functions(source):
+    """Qualified names of every function and method in ``source``, joined as ``Mutator`` joins them."""
+    found = set()
+
+    def walk(node, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(child, ast.FunctionDef):
+                    found.add(".".join(names + [child.name]))
+                walk(child, names + [child.name])
+            else:
+                walk(child, names)
+
+    walk(ast.parse(source), [])
+    return found
+
+
+@pytest.mark.parametrize("name, scope, tests", mutate.TARGETS,
+                         ids=[name + (f" {scope}" if scope else "") for name, scope, _ in mutate.TARGETS])
+def test_target_exists(name, scope, tests):
+    source = (mutate.ROOT / "src" / "closepair" / name).read_text()
+    assert scope is None or scope in defined_functions(source)
+    assert all((mutate.ROOT / test).is_file() for test in tests)

@@ -5,7 +5,8 @@ one solver on one instance, the spans as ``recorded_spans`` of
 ``tools/differential.py`` observes them.  The values were recorded before
 the 2-way solver became the k-way core at ``a = 2``; any change to which
 pairs a solver evaluates, in what order, or how ties resolve shows up here
-as a diff.
+as a diff.  The 2-way solver, which is k-way at ``a = 2``, is held to its
+case's ``kway a=2`` row.
 
 The last two columns were re-recorded when each dividing line's strip was
 restricted to pairs across the line (the regions left of it against the one
@@ -110,7 +111,6 @@ def pinned_row(solver, ps):
 
 PINS = {
     "uniform n=2 seed=1": {
-        "2way": (0, 1, "0x1.0488d4728d63ap-2", 1, 0),
         "kway a=2": (0, 1, "0x1.0488d4728d63ap-2", 1, 0),
         "kway a=3": (0, 1, "0x1.0488d4728d63ap-2", 1, 0),
         "kway a=4": (0, 1, "0x1.0488d4728d63ap-2", 1, 0),
@@ -118,7 +118,6 @@ PINS = {
         "kway a=n": (0, 1, "0x1.0488d4728d63ap-2", 1, 0),
     },
     "uniform n=3 seed=2": {
-        "2way": (0, 1, "0x1.2a4d725476158p-12", 3, 0),
         "kway a=2": (0, 1, "0x1.2a4d725476158p-12", 3, 0),
         "kway a=3": (0, 1, "0x1.2a4d725476158p-12", 3, 0),
         "kway a=4": (0, 1, "0x1.2a4d725476158p-12", 3, 0),
@@ -126,7 +125,6 @@ PINS = {
         "kway a=n": (0, 1, "0x1.2a4d725476158p-12", 3, 0),
     },
     "uniform n=5 seed=3": {
-        "2way": (0, 2, "0x1.e2138f86acafap-7", 4, 0),
         "kway a=2": (0, 2, "0x1.e2138f86acafap-7", 4, 0),
         "kway a=3": (0, 2, "0x1.e2138f86acafap-7", 3, 1),
         "kway a=4": (0, 2, "0x1.e2138f86acafap-7", 2, 1),
@@ -134,7 +132,6 @@ PINS = {
         "kway a=n": (0, 2, "0x1.e2138f86acafap-7", 2, 1),
     },
     "uniform n=17 seed=4": {
-        "2way": (8, 11, "0x1.625af4458b9bcp-10", 13, 3),
         "kway a=2": (8, 11, "0x1.625af4458b9bcp-10", 13, 3),
         "kway a=3": (8, 11, "0x1.625af4458b9bcp-10", 11, 3),
         "kway a=4": (8, 11, "0x1.625af4458b9bcp-10", 7, 3),
@@ -142,7 +139,6 @@ PINS = {
         "kway a=n": (8, 11, "0x1.625af4458b9bcp-10", 5, 4),
     },
     "uniform n=40 seed=5": {
-        "2way": (0, 26, "0x1.51f738147773ep-12", 43, 11),
         "kway a=2": (0, 26, "0x1.51f738147773ep-12", 43, 11),
         "kway a=3": (0, 26, "0x1.51f738147773ep-12", 29, 16),
         "kway a=4": (0, 26, "0x1.51f738147773ep-12", 36, 4),
@@ -150,7 +146,6 @@ PINS = {
         "kway a=n": (0, 26, "0x1.51f738147773ep-12", 5, 4),
     },
     "uniform n=64 seed=6": {
-        "2way": (32, 47, "0x1.193ea48e0b7d0p-12", 57, 25),
         "kway a=2": (32, 47, "0x1.193ea48e0b7d0p-12", 57, 25),
         "kway a=3": (32, 47, "0x1.193ea48e0b7d0p-12", 64, 17),
         "kway a=4": (32, 47, "0x1.193ea48e0b7d0p-12", 43, 27),
@@ -158,7 +153,6 @@ PINS = {
         "kway a=n": (32, 47, "0x1.193ea48e0b7d0p-12", 13, 12),
     },
     "uniform n=200 seed=7": {
-        "2way": (123, 161, "0x1.551aab029597dp-14", 234, 50),
         "kway a=2": (123, 161, "0x1.551aab029597dp-14", 234, 50),
         "kway a=3": (123, 161, "0x1.551aab029597dp-14", 201, 44),
         "kway a=4": (123, 161, "0x1.551aab029597dp-14", 219, 43),
@@ -166,7 +160,6 @@ PINS = {
         "kway a=n": (123, 161, "0x1.551aab029597dp-14", 9, 8),
     },
     "two columns n=48": {
-        "2way": (4, 26, "0x1.272a79711ebb1p-20", 50, 2),
         "kway a=2": (4, 26, "0x1.272a79711ebb1p-20", 50, 2),
         "kway a=3": (4, 26, "0x1.272a79711ebb1p-20", 27, 6),
         "kway a=4": (4, 26, "0x1.272a79711ebb1p-20", 50, 2),
@@ -174,7 +167,6 @@ PINS = {
         "kway a=n": (4, 26, "0x1.272a79711ebb1p-20", 5, 4),
     },
     "vertical line n=40": {
-        "2way": (2, 33, "0x1.a3b166d0caa84p-21", 32, 0),
         "kway a=2": (2, 33, "0x1.a3b166d0caa84p-21", 32, 0),
         "kway a=3": (2, 33, "0x1.a3b166d0caa84p-21", 21, 8),
         "kway a=4": (2, 33, "0x1.a3b166d0caa84p-21", 32, 0),
@@ -182,7 +174,6 @@ PINS = {
         "kway a=n": (2, 33, "0x1.a3b166d0caa84p-21", 3, 2),
     },
     "duplicate grid 5x4 x3": {
-        "2way": (0, 20, "0x0.0p+0", 36, 0),
         "kway a=2": (0, 20, "0x0.0p+0", 36, 0),
         "kway a=3": (0, 20, "0x0.0p+0", 39, 0),
         "kway a=4": (0, 20, "0x0.0p+0", 28, 4),
@@ -190,7 +181,6 @@ PINS = {
         "kway a=n": (0, 20, "0x0.0p+0", 1, 0),
     },
     "repeated x n=50": {
-        "2way": (7, 23, "0x1.5e299cd95bd9cp-15", 47, 1),
         "kway a=2": (7, 23, "0x1.5e299cd95bd9cp-15", 47, 1),
         "kway a=3": (7, 23, "0x1.5e299cd95bd9cp-15", 29, 6),
         "kway a=4": (7, 23, "0x1.5e299cd95bd9cp-15", 47, 3),
@@ -198,7 +188,6 @@ PINS = {
         "kway a=n": (7, 23, "0x1.5e299cd95bd9cp-15", 6, 5),
     },
     "signed zeros n=28": {
-        "2way": (1, 2, "0x0.0p+0", 24, 4),
         "kway a=2": (1, 2, "0x0.0p+0", 24, 4),
         "kway a=3": (0, 1, "0x0.0p+0", 31, 6),
         "kway a=4": (1, 2, "0x0.0p+0", 17, 5),
@@ -292,7 +281,7 @@ STRIP_WORK_PINS = {
 @pytest.mark.parametrize("case", sorted(CORPUS))
 @pytest.mark.parametrize("solver", list(SOLVERS))
 def test_pinned_output(case, solver):
-    assert pinned_row(solver, CORPUS[case]) == PINS[case][solver]
+    assert pinned_row(solver, CORPUS[case]) == PINS[case]["kway a=2" if solver == "2way" else solver]
 
 
 @pytest.mark.parametrize("case", sorted(DEGENERATE_PINS))

@@ -258,15 +258,6 @@ class TestKWay:
             with pytest.raises(InvalidPartition):
                 closest_pair_kway(ps, a, OpCounter())
 
-    def test_a2_coincides_with_two_way(self):
-        for seed in range(10):
-            ps = gen_uniform_points(30 + seed, seed)
-            c2, ck = OpCounter(), OpCounter()
-            r2 = closest_pair_2way(ps, c2)
-            rk = closest_pair_kway(ps, 2, ck)
-            assert r2.dist_sq == rk.dist_sq
-            assert r2.dc_used == rk.dc_used
-
     def test_a_equals_n_has_zero_local_cost(self):
         # the leftmost region holds two points and every other region one, so
         # every DC is either that region's one pair or a strip comparison, and
@@ -343,7 +334,6 @@ class TestCrossSolverProperties:
         # for every a
         ps = point_set(coords)
         for run in (
-            lambda c: closest_pair_2way(ps, c),
             lambda c: closest_pair_kway(ps, 2, c),
             lambda c: closest_pair_kway(ps, 3, c),
             lambda c: closest_pair_kway(ps, len(ps), c),
@@ -366,11 +356,12 @@ LARGE_INPUTS = dict(large_inputs())
 
 
 class TestExactnessAboveN64:
-    """Every solver's answer above n = 64, where the brute-force oracle is too slow.
+    """k-way's answer above n = 64, where the brute-force oracle is too slow.
 
-    Multi-level recursion and long carried left lists only run at these
-    sizes.  The oracle is the benchmark's ``grid_closest_dist_sq``, which
-    does not import the package.
+    It runs at six values of a, a = 2 being the 2-way solver.  Multi-level
+    recursion and long carried left lists only run at these sizes.  The
+    oracle is the benchmark's ``grid_closest_dist_sq``, which does not
+    import the package.
     """
 
     @pytest.mark.parametrize("name", LARGE_INPUTS)
@@ -379,13 +370,11 @@ class TestExactnessAboveN64:
         xy = [(p.x, p.y) for p in ps]
         n = len(xy)
         expected = workloads.grid_closest_dist_sq(xy)
-        results = {"2way": closest_pair_2way(ps, OpCounter())}
         for a in (2, 3, 16, math.isqrt(n), n - 1, n):
-            results[f"kway a={a}"] = closest_pair_kway(ps, a, OpCounter())
-        for solver, r in results.items():
-            assert r.dist_sq.hex() == expected.hex(), solver
-            assert 0 <= r.i < r.j < n, solver
-            assert workloads.squared(xy[r.i], xy[r.j]) == r.dist_sq, solver
+            r = closest_pair_kway(ps, a, OpCounter())
+            assert r.dist_sq.hex() == expected.hex(), a
+            assert 0 <= r.i < r.j < n, a
+            assert workloads.squared(xy[r.i], xy[r.j]) == r.dist_sq, a
 
 
 class TestMetamorphic:
@@ -421,10 +410,9 @@ class TestMetamorphic:
 
     @staticmethod
     def solves(ps):
-        """The 2-way solve, then k-way at six values of a."""
+        """k-way at six values of a, a = 2 being the 2-way solver."""
         n = len(ps)
-        results = [closest_pair_2way(ps, OpCounter())]
-        return results + [closest_pair_kway(ps, a, OpCounter()) for a in (2, 3, 16, math.isqrt(n), n - 1, n)]
+        return [closest_pair_kway(ps, a, OpCounter()) for a in (2, 3, 16, math.isqrt(n), n - 1, n)]
 
     @INPUTS
     def test_distance_is_invariant(self, coords):
@@ -725,6 +713,5 @@ class TestRandomizedStress:
             ps = point_set(coords)
             expected = oracle_min_dist_sq(ps.points)
             assert brute_force(ps, OpCounter()).dist_sq == expected
-            assert closest_pair_2way(ps, OpCounter()).dist_sq == expected
             for a in {2, 3, (n + 1) // 2, n} - {0, 1}:
                 assert closest_pair_kway(ps, a, OpCounter()).dist_sq == expected
