@@ -261,10 +261,10 @@ def plain_runs(pool, trees, sources, targets):
 def limit(seconds):
     """How long a mutant's run may take when the unmutated file's took ``seconds``.
 
-    On 2 vCPUs the slowest mutant test run that finished took 1.54 times the
-    unmutated run's time (9.8 of 6.3 s on the solver tests), and the slowest
-    survivor's differential 1.13 times; this limit is about 1.5 times the
-    former.
+    On 2 vCPUs the slowest mutant test run that finished took 9.8 s against
+    the unmutated 6.3 s on the solver tests (1.54 times), and the slowest
+    survivor's differential 1.13 times the unmutated one.  At 6.3 s this
+    limit is 14.7 s, about 1.5 times that slowest run.
     """
     return 2 * seconds + 2
 
