@@ -156,18 +156,6 @@ class TestOpCounter:
         assert OpCounter().dc == 0
 
 
-class TestClosestPairResult:
-    @pytest.mark.parametrize("field", ["i", "j", "dist_sq", "dc_used"])
-    def test_frozen(self, field):
-        r = ClosestPairResult(1, 4, 0.25, 7)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(r, field, 0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(r, field)
-        assert r == ClosestPairResult(1, 4, 0.25, 7)
-        assert not hasattr(r, "__dict__")
-
-
 RECORDS = {
     # type, field names, a sample's values, and the pinned repr of a second
     # instance whose every field differs from the sample's

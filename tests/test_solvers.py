@@ -34,7 +34,6 @@ point_lists = st.lists(coord_pairs, min_size=2, max_size=24)
 
 SOLVERS = {
     "brute": brute_force,
-    "2way": closest_pair_2way,
     "kway a=2": lambda ps, c: closest_pair_kway(ps, 2, c),
     "kway a=3": lambda ps, c: closest_pair_kway(ps, 3, c),
     "kway a=16": lambda ps, c: closest_pair_kway(ps, 16, c),
@@ -49,7 +48,7 @@ def seeded_oracle(n, seed):
 
 
 class TestEverySolver:
-    """What every solver must do, checked on brute force, 2-way and k-way at a = 2, 3, 16 and n."""
+    """What every solver must do, checked on brute force and k-way at a = 2, 3, 16 and n."""
 
     HAND_CHECKED = {
         "two points": ([(0, 0), (3, 4)], (0, 1, 25.0)),
@@ -219,14 +218,6 @@ class TestStripScan:
             solvers.strip_scan(*_strip(ps, [0, 2], [1]), (1.0, 7, 8), c)
         assert (spans, sizes) == ([1], [3])
         assert c.dc == 1
-
-
-class TestTwoWay:
-    @given(point_lists)
-    @settings(max_examples=200)
-    def test_oracle_equivalence(self, coords):
-        ps = point_set(coords)
-        assert closest_pair_2way(ps, OpCounter()).dist_sq == oracle_min_dist_sq(ps.points)
 
 
 class TestKWay:
