@@ -1,10 +1,25 @@
-import importlib.util
 import itertools
+import sys
+from bisect import insort
 from pathlib import Path
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import strategies as st
 
+from closepair import solvers
+from closepair.cli import main
 from closepair.geometry import Point, PointSet
+
+# tools/ and bench/ are not packages: their directories go on the path, so
+# that the differential's tier-1 gate and the tie pins share the tool's
+# corpus and rows, the large-input gate shares the benchmark's oracle, and
+# the mutation pins import the mutation tool.
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "bench")]
+
+import differential  # noqa: E402
+import workloads  # noqa: E402
 
 
 def oracle_min_dist_sq(points):
@@ -23,23 +38,76 @@ def oracle_min_dist_sq(points):
     return best
 
 
-def _load(relative):
-    # tools/ and bench/ are not packages: load a module from its file, so
-    # that the differential's tier-1 gate and the tie pins share the tool's
-    # corpus and rows, and the large-input gate shares the benchmark's oracle.
-    path = Path(__file__).resolve().parents[1] / relative
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-differential = _load("tools/differential.py")
-workloads = _load("bench/workloads.py")
-
-
 def point_set(coords):
     return PointSet(Point(x, y) for x, y in coords)
+
+
+def run_cli(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def core_work(monkeypatch):
+    """Count the k-way core's work that the DC meter does not see, from now on.
+
+    Returns running totals over every solve in the test: ``x_reads``, reads
+    of the presort's x values; ``lines``, each partition's stops but one;
+    ``sorted``, every entry of every list the core sorts (the presort's two
+    sorts included); ``inserted``, one per ``insort``; ``pairs``, each DC's
+    pair of point ids, the smaller first; and ``x_reads_at_zero``, the x
+    reads made when a DC first returned 0, or None.  Besides
+    ``recorded_spans`` of ``tools/differential.py``, which records the
+    spans, this is the only place the tests watch the core by swapping its
+    module globals.
+    """
+    work = SimpleNamespace(x_reads=0, lines=0, sorted=0, inserted=0, pairs=[], x_reads_at_zero=None)
+    presort = solvers._presort
+    partition = solvers.balanced_partition
+    measure = solvers.squared_distance
+
+    class CountingList(list):
+        def __getitem__(self, k):
+            work.x_reads += 1
+            return super().__getitem__(k)
+
+    def counting_presort(ps):
+        xs, *rest = presort(ps)
+        return (CountingList(xs), *rest)
+
+    def counting_partition(lo, hi, regions):
+        stops = partition(lo, hi, regions)
+        work.lines += len(stops) - 1
+        return stops
+
+    def counting_sorted(iterable, **kwargs):
+        items = list(iterable)
+        work.sorted += len(items)
+        return sorted(items, **kwargs)
+
+    def counting_insort(seq, x):
+        work.inserted += 1
+        insort(seq, x)
+
+    def recording_distance(p, q, counter):
+        d = measure(p, q, counter)
+        work.pairs.append((id(p), id(q)) if id(p) < id(q) else (id(q), id(p)))
+        if d == 0 and work.x_reads_at_zero is None:
+            work.x_reads_at_zero = work.x_reads
+        return d
+
+    monkeypatch.setattr(solvers, "_presort", counting_presort)
+    monkeypatch.setattr(solvers, "balanced_partition", counting_partition)
+    # A module global shadows the builtin ``sorted`` inside the module; a
+    # core that does not import ``insort`` has no inserts to count.
+    monkeypatch.setattr(solvers, "sorted", counting_sorted, raising=False)
+    monkeypatch.setattr(solvers, "insort", counting_insort, raising=False)
+    monkeypatch.setattr(solvers, "squared_distance", recording_distance)
+    return work
 
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)

@@ -8,7 +8,6 @@ import os
 import random
 import time
 
-from closepair.cli import main as cli_main
 from closepair.cost_model import analytic_total_cost
 from closepair.experiments import (
     argmin_partition,
@@ -22,7 +21,7 @@ from closepair.experiments import (
 from closepair.geometry import OpCounter, Point, PointSet
 from closepair.solvers import brute_force, closest_pair_2way, closest_pair_kway
 
-from conftest import differential
+from conftest import differential, run_cli
 
 
 def _report(num, label, ok, detail):
@@ -213,13 +212,6 @@ def test_criterion_7c_power_of_two_scaling():
 
 def test_criterion_7d_csv_repeat_determinism(capsys):
     stream = splitmix64_stream(0x7D)
-
-    def render(argv):
-        assert cli_main(argv) == 0
-        out = capsys.readouterr().out
-        assert "\r" not in out and out.endswith("\n")
-        return out
-
     bad = 0
     for case in range(200):
         seed = str(next(stream))
@@ -233,28 +225,25 @@ def test_criterion_7d_csv_repeat_determinism(capsys):
             argv = ["gen", "--n", str(n), "--seed", seed]
         else:
             argv = ["trials", "--n", str(n), "--trials", str(1 + case % 6), "--seed", seed]
-        if render(argv) != render(argv):
+        runs = [run_cli(argv, capsys) for _ in range(2)]
+        for code, out, _ in runs:
+            assert code == 0 and "\r" not in out and out.endswith("\n")
+        if runs[0] != runs[1]:
             bad += 1
-    capsys.readouterr()
     _report("7d", "CSV determinism under repetition", bad == 0, f"200 cases, {bad} diffs")
 
 
 def test_criterion_7e_csv_determinism_under_jobs(capsys):
     stream = splitmix64_stream(0x7E)
-
-    def render(argv):
-        assert cli_main(argv) == 0
-        return capsys.readouterr().out
-
     bad = 0
     for case in range(200):
         n = 2 + next(stream) % 7
         trials = 1 + next(stream) % 10
         seed = str(next(stream))
         base = ["trials", "--n", str(n), "--trials", str(trials), "--seed", seed]
-        sequential = render(base + ["--jobs", "1"])
-        parallel = render(base + ["--jobs", str(2 + case % 2)])
+        sequential = run_cli(base + ["--jobs", "1"], capsys)
+        parallel = run_cli(base + ["--jobs", str(2 + case % 2)], capsys)
+        assert sequential[0] == parallel[0] == 0
         if sequential != parallel:
             bad += 1
-    capsys.readouterr()
     _report("7e", "CSV determinism under --jobs", bad == 0, f"200 cases, {bad} diffs")

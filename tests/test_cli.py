@@ -8,14 +8,7 @@ from closepair.cli import format_number, main, parse_points_text, PointFileError
 from closepair.experiments import gen_uniform_points
 from closepair.geometry import Point
 
-
-def run_cli(argv, capsys):
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from conftest import run_cli
 
 
 def run_on_file(argv, data, tmp_path, capsys):

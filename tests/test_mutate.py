@@ -14,9 +14,7 @@ import ast
 
 import pytest
 
-from conftest import _load
-
-mutate = _load("tools/mutate.py")
+import mutate
 
 SNIPPET = '''\
 def f(xs, k):

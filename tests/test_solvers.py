@@ -1,7 +1,6 @@
 import functools
 import math
 import random
-from bisect import insort
 from itertools import combinations
 
 import pytest
@@ -485,79 +484,35 @@ class TestWindowWork:
 
     FAMILIES = {family: TestStripWork.FAMILIES[family] for family in ("vertical line", "two columns")}
 
-    @staticmethod
-    def count_x_reads(monkeypatch):
-        """Count x reads and lines from now on; returns the ``[reads, lines]`` totals.
-
-        The x values are wrapped in a counting list as they leave the
-        presort, and each node's lines are its partition's stops but one.
-        """
-        counts = [0, 0]
-
-        class CountingList(list):
-            def __getitem__(self, k):
-                counts[0] += 1
-                return super().__getitem__(k)
-
-        presort = solvers._presort
-        partition = solvers.balanced_partition
-
-        def counting_presort(ps):
-            xs, *rest = presort(ps)
-            return (CountingList(xs), *rest)
-
-        def counting_partition(lo, hi, regions):
-            stops = partition(lo, hi, regions)
-            counts[1] += len(stops) - 1
-            return stops
-
-        monkeypatch.setattr(solvers, "_presort", counting_presort)
-        monkeypatch.setattr(solvers, "balanced_partition", counting_partition)
-        return counts
-
     @pytest.mark.parametrize("family", list(FAMILIES))
     @pytest.mark.parametrize("n", [512, 2048])
     @pytest.mark.parametrize("a", [2, 16, "n"])
-    def test_x_reads_per_line(self, family, n, a, monkeypatch):
-        counts = self.count_x_reads(monkeypatch)
+    def test_x_reads_per_line(self, family, n, a, core_work):
         closest_pair_kway(point_set(self.FAMILIES[family](n)), n if a == "n" else a, OpCounter())
-        reads, lines = counts
-        assert lines > 0
-        assert reads <= 4 * lines
+        assert core_work.lines > 0
+        assert core_work.x_reads <= 4 * core_work.lines
 
     @pytest.mark.parametrize("seed,expected", [(1, 10_076), (8, 10_171)])
-    def test_x_reads_uniform_plane_sweep(self, seed, expected, monkeypatch):
+    def test_x_reads_uniform_plane_sweep(self, seed, expected, core_work):
         # 2,046 lines at n = 2,048, a = n.  Re-reading the x of an
         # out-of-window one-point right region in the walk read 10,323 and
         # 10,380: one more on each of the 247 (seed 1) and 209 (seed 8)
         # lines skipped with no right point.
-        counts = self.count_x_reads(monkeypatch)
         closest_pair_kway(gen_uniform_points(2048, seed), 2048, OpCounter())
-        assert counts == [expected, 2046]
+        assert [core_work.x_reads, core_work.lines] == [expected, 2046]
 
     @pytest.mark.parametrize("n", [512, 2048])
     @pytest.mark.parametrize("a", [2, 16, "n"])
-    def test_no_x_read_after_a_zero(self, n, a, monkeypatch):
+    def test_no_x_read_after_a_zero(self, n, a, core_work):
         # Every point twice, so the first leaf already finds 0: from then on
         # no node's line can keep a pair, and none should be placed or walked.
         side = math.isqrt(n // 2)
         cells = [(float(x), float(y)) for x in range(side) for y in range(side)]
         coords = [cells[k % len(cells)] for k in range(n)]
         random.Random(n).shuffle(coords)
-        counts = self.count_x_reads(monkeypatch)
-        reads_at_zero = []
-        distance = solvers.squared_distance
-
-        def watching_distance(p, q, counter):
-            d = distance(p, q, counter)
-            if d == 0 and not reads_at_zero:
-                reads_at_zero.append(counts[0])
-            return d
-
-        monkeypatch.setattr(solvers, "squared_distance", watching_distance)
         r = closest_pair_kway(point_set(coords), n if a == "n" else a, OpCounter())
-        assert r.dist_sq == 0 and reads_at_zero
-        assert counts[0] == reads_at_zero[0]
+        assert r.dist_sq == 0 and core_work.x_reads_at_zero is not None
+        assert core_work.x_reads == core_work.x_reads_at_zero
 
 
 class TestSortWork:
@@ -584,49 +539,27 @@ class TestSortWork:
 
     FAMILIES = {**TestStripWork.FAMILIES, "tiny x": differential.tiny_x_coords}
 
-    @staticmethod
-    def count_sort_work(monkeypatch):
-        """Count sorted and inserted entries from now on; returns the ``[sorted, inserted]`` totals."""
-        entries = [0, 0]
-
-        def counting_sorted(iterable, **kwargs):
-            items = list(iterable)
-            entries[0] += len(items)
-            return sorted(items, **kwargs)
-
-        def counting_insort(seq, x):
-            entries[1] += 1
-            insort(seq, x)
-
-        # A module global shadows the builtin ``sorted`` inside the module; a
-        # core that does not import ``insort`` has no inserts to count.
-        monkeypatch.setattr(solvers, "sorted", counting_sorted, raising=False)
-        monkeypatch.setattr(solvers, "insort", counting_insort, raising=False)
-        return entries
-
     @pytest.mark.parametrize("family", list(FAMILIES))
     @pytest.mark.parametrize("a", [16, "n"])
-    def test_sorted_entries_per_doubling(self, family, a, monkeypatch):
-        entries = self.count_sort_work(monkeypatch)
+    def test_sorted_entries_per_doubling(self, family, a, core_work):
         totals = []
         for n in (512, 1024, 2048):
-            entries[:] = [0, 0]
+            before = core_work.sorted + core_work.inserted
             ps = point_set(self.FAMILIES[family](n))
             closest_pair_kway(ps, n if a == "n" else a, OpCounter())
-            totals.append(sum(entries))
+            totals.append(core_work.sorted + core_work.inserted - before)
         assert totals[1] <= 2.5 * totals[0]
         assert totals[2] <= 2.5 * totals[1]
 
     @pytest.mark.parametrize("family", ["vertical line", "two columns"])
-    def test_one_point_line_sorts_nothing(self, family, monkeypatch):
+    def test_one_point_line_sorts_nothing(self, family, core_work):
         # At a = n every right run is one point, and here no left point
         # leaves the window: the presort's two sorts of 512 entries and the
         # first line's two-point left run are the only sorted entries, and
         # each of the 509 later lines inserts the point that entered.
         # Sorting every one-point right run as well read 1,536 sorted entries.
-        entries = self.count_sort_work(monkeypatch)
         closest_pair_kway(point_set(self.FAMILIES[family](512)), 512, OpCounter())
-        assert entries == [1026, 509]
+        assert [core_work.sorted, core_work.inserted] == [1026, 509]
 
 
 class TestBalancedPartition:
