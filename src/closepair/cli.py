@@ -1,14 +1,14 @@
 """Command-line surface: solve point files, run sweeps, trials, and model tables.
 
-Each command computes its whole result and returns its output lines; only
-``main`` writes them, to stdout as deterministic LF-terminated text, so a
-failed command leaves stdout empty.  ``main`` also reports every error on
-stderr as one ``error:`` line.  Exit codes: 0 success, 2 unreadable or
-malformed input file, 3 invalid arguments or violated preconditions.  Point
-files are UTF-8; one leading byte-order mark is dropped, and a bad byte's
-position counts from the start of the file.  Binary64 values are printed in
-their shortest round-trip decimal form (integral values without a trailing
-".0"), so output parses back to bit-identical floats.
+Each command computes its whole result and returns its output lines.
+``main`` writes every stdout line, as deterministic LF-terminated text, so
+a failed command leaves stdout empty, and reports every error on stderr as
+one ``error:`` line; ``_cmd_solve`` adds the kway clamp note to stderr.
+Exit codes: 0 success, 2 unreadable or malformed input file, 3 invalid
+arguments or violated preconditions.  Point files are UTF-8; one leading
+byte-order mark is dropped, and a bad byte's position counts from the start
+of the file.  Binary64 values print in shortest round-trip form (integral
+values without a trailing ".0"), so output parses to bit-identical floats.
 """
 
 import argparse

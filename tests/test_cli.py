@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -10,12 +11,24 @@ from closepair.geometry import Point
 
 from conftest import run_cli
 
+GEN = ["gen", "--n", "1500", "--seed", "20261017"]
+# the bytes of a points file that holds the stdout of ``GEN``
+GENERATED = object()
+
 
 def run_on_file(argv, data, tmp_path, capsys):
-    """``run_cli`` on ``argv`` with each ``{points}`` in it naming a file that holds ``data``."""
+    """``run_cli`` on ``argv`` with each ``{points}`` in it naming a file that holds ``data``.
+
+    ``None`` writes no file, and ``GENERATED`` writes the stdout of ``GEN``.
+    The file's path reads back as ``{points}`` in stderr.
+    """
     f = tmp_path / "p.txt"
-    f.write_bytes(data)
-    return run_cli([str(f) if arg == "{points}" else arg for arg in argv], capsys)
+    if data is GENERATED:
+        data = run_cli(GEN, capsys)[1].encode()
+    if data is not None:
+        f.write_bytes(data)
+    code, out, err = run_cli([str(f) if arg == "{points}" else arg for arg in argv], capsys)
+    return code, out, err.replace(str(f), "{points}")
 
 
 def run_proc(args, stdin=None):
@@ -58,116 +71,27 @@ class TestParsePoints:
             parse_points_text("1.0\n")
 
 
-class TestParseErrorPins:
-    """``closepair solve``'s exit code, stdout and stderr on awkward point files, byte for byte."""
-
-    CASES = {
-        "one field": (b"0 0\n1\n", 2, "", "error: line 2: expected two numbers, got 1 fields\n"),
-        "three fields": (b"0 0\n1 2 3\n", 2, "", "error: line 2: expected two numbers, got 3 fields\n"),
-        "bad float": (b"0 0\n1.0 abc\n", 2, "", "error: line 2: could not convert string to float: 'abc'\n"),
-        "hex float": (b"0x10 0\n3 4\n", 2, "", "error: line 1: could not convert string to float: '0x10'\n"),
-        "byte order mark": (b"\xef\xbb\xbf0 0\n3 4\n", 0, "0 1 5 1\n", ""),
-        "byte order mark mid-file": (
-            b"0 0\n\xef\xbb\xbf3 4\n", 2, "", "error: line 2: could not convert string to float: '\\ufeff3'\n"
-        ),
-        "inf": (b"0 0\ninf 1\n", 2, "", "error: line 2: point coordinates must be finite, got (inf, 1.0)\n"),
-        "-inf": (b"-inf 0\n3 4\n", 2, "", "error: line 1: point coordinates must be finite, got (-inf, 0.0)\n"),
-        "nan": (b"0 0\n1 nan\n", 2, "", "error: line 2: point coordinates must be finite, got (1.0, nan)\n"),
-        "1e999": (b"0 0\n1e999 0\n", 2, "", "error: line 2: point coordinates must be finite, got (inf, 0.0)\n"),
-        "crlf": (b"0 0\r\n3 4\r\n", 0, "0 1 5 1\n", ""),
-        "crlf bad line": (b"0 0\r\n3\r\n", 2, "", "error: line 2: expected two numbers, got 1 fields\n"),
-        "indented comment": (b"  # header\n0 0\n\t# mid\n3 4\n", 0, "0 1 5 1\n", ""),
-        "comment glued to numbers": (b"#1 2\n0 0\n3 4\n", 0, "0 1 5 1\n", ""),
-        "trailing comment": (b"0 0 # c\n3 4\n", 2, "", "error: line 1: expected two numbers, got 4 fields\n"),
-        "tabs": (b"0\t0\n3\t\t4\t\n", 0, "0 1 5 1\n", ""),
-        "whitespace-only lines": (b" \n0 0\n \t \n3 4\n\t\n", 0, "0 1 5 1\n", ""),
-        "whitespace-only then bad": (b"0 0\n  \n\t\n5\n", 2, "", "error: line 4: expected two numbers, got 1 fields\n"),
-        "form feed breaks lines": (b"0 0\x0c3 4\n", 0, "0 1 5 1\n", ""),
-        "form feed bad line": (b"0 0\x0c3\n", 2, "", "error: line 2: expected two numbers, got 1 fields\n"),
-        "vertical tab breaks lines": (b"0 0\x0b3 4\n", 0, "0 1 5 1\n", ""),
-        "no final newline": (b"0 0\n3 4", 0, "0 1 5 1\n", ""),
-        "one point": (b"# only\n0 0\n", 3, "", "error: need at least 2 points, got 1\n"),
-    }
-
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_solve_output(self, case, tmp_path, capsys):
-        data, code, out, err = self.CASES[case]
-        assert run_on_file(["solve", "--input", "{points}", "--algo", "brute"], data, tmp_path, capsys) == (code, out, err)
-
-    def test_non_utf8(self, tmp_path, capsys):
-        f = tmp_path / "p.txt"
-        f.write_bytes(b"0 0\n\xff\xfe1 2\n")
-        assert run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys) == (
-            2,
-            "",
-            f"error: {f} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n",
-        )
-
-    def test_missing_file(self, tmp_path, capsys):
-        f = tmp_path / "absent.txt"
-        assert run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys) == (
-            2,
-            "",
-            f"error: cannot read {f}: [Errno 2] No such file or directory: '{f}'\n",
-        )
-
-    def test_non_utf8_after_byte_order_mark(self, tmp_path, capsys):
-        # the bad byte's position counts from the start of the file, mark included
-        f = tmp_path / "p.txt"
-        f.write_bytes(b"\xef\xbb\xbf0 0\n\xff1 2\n")
-        assert run_cli(["solve", "--input", str(f), "--algo", "brute"], capsys) == (
-            2,
-            "",
-            f"error: {f} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n",
-        )
+SOLVE = ["solve", "--input", "{points}", "--algo"]
 
 
-class TestErrorPathPins:
-    """Every subcommand's exit code, stdout and stderr on invalid arguments, byte for byte."""
+def brute(data, *expected):
+    """A row that solves ``data`` with ``--algo brute``."""
+    return [*SOLVE, "brute"], data, expected
 
-    CASES = {
-        "sweep a-min 1": (["sweep", "--n", "10", "--seed", "1", "--a-min", "1", "--a-max", "5"],
-                          "error: need 2 <= a-min <= a-max <= n, got [1, 5] with n=10\n"),
-        "sweep n 1": (["sweep", "--n", "1", "--seed", "1", "--a-min", "2", "--a-max", "2"],
-                      "error: need at least 2 points, got 1\n"),
-        "sweep n 2 a-min 1": (["sweep", "--n", "2", "--seed", "1", "--a-min", "1", "--a-max", "2"],
-                              "error: need 2 <= a-min <= a-max <= n, got [1, 2] with n=2\n"),
-        "sweep a-max above n": (["sweep", "--n", "10", "--seed", "1", "--a-min", "2", "--a-max", "11"],
-                                "error: need 2 <= a-min <= a-max <= n, got [2, 11] with n=10\n"),
-        "trials n 1": (["trials", "--n", "1", "--trials", "5", "--seed", "0"],
-                       "error: need at least 2 points, got 1\n"),
-        "trials 0": (["trials", "--n", "5", "--trials", "0", "--seed", "0"],
-                     "error: trial count must be >= 1, got 0\n"),
-        "trials jobs 0": (["trials", "--n", "5", "--trials", "5", "--seed", "0", "--jobs", "0"],
-                          "error: job count must be >= 1, got 0\n"),
-        "model n 1": (["model", "--n", "1", "--a-min", "2", "--a-max", "2"],
-                      "error: need 2 <= a-min <= a-max <= n, got [2, 2] with n=1\n"),
-        "model a-max above n": (["model", "--n", "10", "--a-min", "2", "--a-max", "11"],
-                                "error: need 2 <= a-min <= a-max <= n, got [2, 11] with n=10\n"),
-        "model a-min above a-max": (["model", "--n", "10", "--a-min", "5", "--a-max", "4"],
-                                    "error: need 2 <= a-min <= a-max <= n, got [5, 4] with n=10\n"),
-        "gen n -1": (["gen", "--n", "-1", "--seed", "1"], "error: point count must be >= 0, got -1\n"),
-        "solve kway without a": (["solve", "--input", "{points}", "--algo", "kway"],
-                                 "error: --a is required with --algo kway\n"),
-        "solve brute with a": (["solve", "--input", "{points}", "--algo", "brute", "--a", "2"],
-                               "error: --a is only valid with --algo kway, not brute\n"),
-        "solve kway a 1": (["solve", "--input", "{points}", "--algo", "kway", "--a", "1"],
-                           "error: partition parameter must be >= 2, got 1\n"),
-    }
 
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_output(self, case, tmp_path, capsys):
-        argv, err = self.CASES[case]
-        assert run_on_file(argv, b"0 0\n1 1\n", tmp_path, capsys) == (3, "", err)
+def arg_error(argv, err):
+    """A row whose arguments fail with exit code 3, its file holding two points."""
+    return argv, b"0 0\n1 1\n", (3, "", err)
 
 
 class TestInvocationPins:
     """One invocation's exit code, stdout and stderr, byte for byte, with the points file it names.
 
-    A row whose argv names no file holds ``b""`` for its bytes.
+    A row is ``(argv, file bytes, (exit code, stdout, stderr))``, its bytes
+    as ``run_on_file`` takes them.  An expected stdout of ``sha256:<hex>``
+    is compared by its digest.
     """
 
-    SOLVE = ["solve", "--input", "{points}", "--algo"]
     # every pair of these three points is about 1e200 apart
     FAR = b"0 0\n1e200 0\n0 -1e200\n"
     OVERFLOW = (3, "", "error: every squared distance overflows to inf: the closest pair is about 1.3e154 or more apart\n")
@@ -188,18 +112,108 @@ class TestInvocationPins:
         "solve kway a 5 one point": ([*SOLVE, "kway", "--a", "5"], b"0 0\n",
                                      (3, "", "error: need at least 2 points, got 1\n")),
         "solve kway a 5 empty": ([*SOLVE, "kway", "--a", "5"], b"", (3, "", "error: need at least 2 points, got 0\n")),
-        "trials n 2": (["trials", "--n", "2", "--trials", "5", "--seed", "3"], b"", (0, "a,wins\n2,5\n", "")),
-        "model a equals n": (["model", "--n", "50", "--a-min", "50", "--a-max", "50"], b"",
+        "trials n 2": (["trials", "--n", "2", "--trials", "5", "--seed", "3"], None, (0, "a,wins\n2,5\n", "")),
+        "model a equals n": (["model", "--n", "50", "--a-min", "50", "--a-max", "50"], None,
                              (0, "a,strip_cost,local_cost,total\n50,98,0,98\n", "")),
-        "model n 2": (["model", "--n", "2", "--a-min", "2", "--a-max", "2"], b"",
+        "model n 2": (["model", "--n", "2", "--a-min", "2", "--a-max", "2"], None,
                       (0, "a,strip_cost,local_cost,total\n2,2,0,2\n", "")),
-        "gen n 0": (["gen", "--n", "0", "--seed", "1"], b"", (0, "", "")),
+        "gen n 0": (["gen", "--n", "0", "--seed", "1"], None, (0, "", "")),
+        # awkward point files
+        "one field": brute(b"0 0\n1\n", 2, "", "error: line 2: expected two numbers, got 1 fields\n"),
+        "three fields": brute(b"0 0\n1 2 3\n", 2, "", "error: line 2: expected two numbers, got 3 fields\n"),
+        "bad float": brute(b"0 0\n1.0 abc\n", 2, "", "error: line 2: could not convert string to float: 'abc'\n"),
+        "hex float": brute(b"0x10 0\n3 4\n", 2, "", "error: line 1: could not convert string to float: '0x10'\n"),
+        "byte order mark": brute(b"\xef\xbb\xbf0 0\n3 4\n", 0, "0 1 5 1\n", ""),
+        "byte order mark mid-file": brute(
+            b"0 0\n\xef\xbb\xbf3 4\n", 2, "", "error: line 2: could not convert string to float: '\\ufeff3'\n"
+        ),
+        "inf": brute(b"0 0\ninf 1\n", 2, "", "error: line 2: point coordinates must be finite, got (inf, 1.0)\n"),
+        "-inf": brute(b"-inf 0\n3 4\n", 2, "", "error: line 1: point coordinates must be finite, got (-inf, 0.0)\n"),
+        "nan": brute(b"0 0\n1 nan\n", 2, "", "error: line 2: point coordinates must be finite, got (1.0, nan)\n"),
+        "1e999": brute(b"0 0\n1e999 0\n", 2, "", "error: line 2: point coordinates must be finite, got (inf, 0.0)\n"),
+        "crlf": brute(b"0 0\r\n3 4\r\n", 0, "0 1 5 1\n", ""),
+        "crlf bad line": brute(b"0 0\r\n3\r\n", 2, "", "error: line 2: expected two numbers, got 1 fields\n"),
+        "indented comment": brute(b"  # header\n0 0\n\t# mid\n3 4\n", 0, "0 1 5 1\n", ""),
+        "comment glued to numbers": brute(b"#1 2\n0 0\n3 4\n", 0, "0 1 5 1\n", ""),
+        "trailing comment": brute(b"0 0 # c\n3 4\n", 2, "", "error: line 1: expected two numbers, got 4 fields\n"),
+        "tabs": brute(b"0\t0\n3\t\t4\t\n", 0, "0 1 5 1\n", ""),
+        "whitespace-only lines": brute(b" \n0 0\n \t \n3 4\n\t\n", 0, "0 1 5 1\n", ""),
+        "whitespace-only then bad": brute(b"0 0\n  \n\t\n5\n", 2, "",
+                                          "error: line 4: expected two numbers, got 1 fields\n"),
+        "form feed breaks lines": brute(b"0 0\x0c3 4\n", 0, "0 1 5 1\n", ""),
+        "form feed bad line": brute(b"0 0\x0c3\n", 2, "", "error: line 2: expected two numbers, got 1 fields\n"),
+        "vertical tab breaks lines": brute(b"0 0\x0b3 4\n", 0, "0 1 5 1\n", ""),
+        "no final newline": brute(b"0 0\n3 4", 0, "0 1 5 1\n", ""),
+        # numbers are read by float(), and every str.splitlines boundary ends a line
+        "underscore digits": brute(b"0 0\n1_000 2\n", 0, "0 1 1000.001999998 1\n", ""),
+        "full-width digits": brute("0 0\n１ ２\n".encode(), 0, "0 1 2.23606797749979 1\n", ""),
+        "below the smallest subnormal": brute(b"0 0\n1e-400 0\n", 0, "0 1 0 1\n", ""),
+        "next line breaks lines": brute(b"0 0\xc2\x853 4\n", 0, "0 1 5 1\n", ""),
+        "one point": brute(b"# only\n0 0\n", 3, "", "error: need at least 2 points, got 1\n"),
+        "non utf8": brute(b"0 0\n\xff\xfe1 2\n", 2, "", "error: {points} is not UTF-8 text: 'utf-8' codec can't decode"
+                          " byte 0xff in position 4: invalid start byte\n"),
+        "missing file": brute(None, 2, "",
+                              "error: cannot read {points}: [Errno 2] No such file or directory: '{points}'\n"),
+        # the bad byte's position counts from the start of the file, mark included
+        "non utf8 after byte order mark": brute(
+            b"\xef\xbb\xbf0 0\n\xff1 2\n", 2, "",
+            "error: {points} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n",
+        ),
+        # invalid arguments
+        "sweep a-min 1": arg_error(["sweep", "--n", "10", "--seed", "1", "--a-min", "1", "--a-max", "5"],
+                                   "error: need 2 <= a-min <= a-max <= n, got [1, 5] with n=10\n"),
+        "sweep n 1": arg_error(["sweep", "--n", "1", "--seed", "1", "--a-min", "2", "--a-max", "2"],
+                               "error: need at least 2 points, got 1\n"),
+        "sweep n 2 a-min 1": arg_error(["sweep", "--n", "2", "--seed", "1", "--a-min", "1", "--a-max", "2"],
+                                       "error: need 2 <= a-min <= a-max <= n, got [1, 2] with n=2\n"),
+        "sweep a-max above n": arg_error(["sweep", "--n", "10", "--seed", "1", "--a-min", "2", "--a-max", "11"],
+                                         "error: need 2 <= a-min <= a-max <= n, got [2, 11] with n=10\n"),
+        "trials n 1": arg_error(["trials", "--n", "1", "--trials", "5", "--seed", "0"],
+                                "error: need at least 2 points, got 1\n"),
+        "trials 0": arg_error(["trials", "--n", "5", "--trials", "0", "--seed", "0"],
+                              "error: trial count must be >= 1, got 0\n"),
+        "trials jobs 0": arg_error(["trials", "--n", "5", "--trials", "5", "--seed", "0", "--jobs", "0"],
+                                   "error: job count must be >= 1, got 0\n"),
+        "model n 1": arg_error(["model", "--n", "1", "--a-min", "2", "--a-max", "2"],
+                               "error: need 2 <= a-min <= a-max <= n, got [2, 2] with n=1\n"),
+        "model a-max above n": arg_error(["model", "--n", "10", "--a-min", "2", "--a-max", "11"],
+                                         "error: need 2 <= a-min <= a-max <= n, got [2, 11] with n=10\n"),
+        "model a-min above a-max": arg_error(["model", "--n", "10", "--a-min", "5", "--a-max", "4"],
+                                             "error: need 2 <= a-min <= a-max <= n, got [5, 4] with n=10\n"),
+        "gen n -1": arg_error(["gen", "--n", "-1", "--seed", "1"], "error: point count must be >= 0, got -1\n"),
+        "solve kway without a": arg_error([*SOLVE, "kway"], "error: --a is required with --algo kway\n"),
+        "solve brute with a": arg_error([*SOLVE, "brute", "--a", "2"],
+                                        "error: --a is only valid with --algo kway, not brute\n"),
+        "solve kway a 1": arg_error([*SOLVE, "kway", "--a", "1"], "error: partition parameter must be >= 2, got 1\n"),
+        # digests of every subcommand's stdout at a larger size
+        "gen": (GEN, None, (0, "sha256:ba2920745ddde44c56f040628a14ddfade4cfd30d7d7b6c158f6d84629d0282f", "")),
+        "solve brute n 1500": ([*SOLVE, "brute"], GENERATED,
+                               (0, "sha256:61e4118b0187fc28148fe580c0ff827e744b820b68e9f003637bea7268a6896d", "")),
+        "solve two n 1500": ([*SOLVE, "two"], GENERATED,
+                             (0, "sha256:4c1ca6b27f5a27238bc7b569cff4481fd8cead6d29cad8771d4f87a8d01db876", "")),
+        "solve kway a=2": ([*SOLVE, "kway", "--a", "2"], GENERATED,
+                           (0, "sha256:4c1ca6b27f5a27238bc7b569cff4481fd8cead6d29cad8771d4f87a8d01db876", "")),
+        "solve kway a=16": ([*SOLVE, "kway", "--a", "16"], GENERATED,
+                            (0, "sha256:936aa8aea6cd2ef6aa3f4b3e6fb6322eee49ee11e7e14013861552d0a3dcba8d", "")),
+        "solve kway a=n": ([*SOLVE, "kway", "--a", "1500"], GENERATED,
+                           (0, "sha256:62975d4c0f33caf6fe50f82010906094746f32b634da58485b2703e9b4dd0e87", "")),
+        "sweep": (["sweep", "--n", "50", "--seed", "7", "--a-min", "2", "--a-max", "50"], None,
+                  (0, "sha256:a3f51a0b33ae5b7ce0545fb995c7c3e0d7f22add3dcf4d37a6850ae011774440", "")),
+        "trials jobs=1": (["trials", "--n", "20", "--trials", "60", "--seed", "3", "--jobs", "1"], None,
+                          (0, "sha256:3db4769c5d7cb792b9fa1eb9f29d50fb5cbcc0fd3f6b04e8e19713159ce3d026", "")),
+        "trials jobs=2": (["trials", "--n", "20", "--trials", "60", "--seed", "3", "--jobs", "2"], None,
+                          (0, "sha256:3db4769c5d7cb792b9fa1eb9f29d50fb5cbcc0fd3f6b04e8e19713159ce3d026", "")),
+        "model": (["model", "--n", "50", "--a-min", "2", "--a-max", "50"], None,
+                  (0, "sha256:3041b95d09f90052cdd335f86b543e14c0909462713a47ce8ddc5553d2859829", "")),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_output(self, case, tmp_path, capsys):
         argv, data, expected = self.CASES[case]
-        assert run_on_file(argv, data, tmp_path, capsys) == expected
+        code, out, err = run_on_file(argv, data, tmp_path, capsys)
+        if expected[1].startswith("sha256:"):
+            out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+        assert (code, out, err) == expected
 
 
 class TestSweep:

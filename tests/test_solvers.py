@@ -46,6 +46,22 @@ def seeded_oracle(n, seed):
     return oracle_min_dist_sq(gen_uniform_points(n, seed).points)
 
 
+@functools.cache
+def local(m, a):
+    """The DCs that k-way at ``a`` spends inside the regions of a node of ``m`` points, strips not counted.
+
+    The node has k = min(a, m - 1) regions: r of q + 1 points and k - r of
+    q, with q, r = divmod(m, k).  A region of four or more points recurses,
+    and a node of three or fewer points is one region and costs C(m, 2),
+    that is 1 or 3 DCs.
+    """
+    if m <= 3:
+        return m * (m - 1) // 2
+    k = min(a, m - 1)
+    q, r = divmod(m, k)
+    return r * local(q + 1, a) + (k - r) * local(q, a)
+
+
 class TestEverySolver:
     """What every solver must do, checked on brute force and k-way at a = 2, 3, 16 and n."""
 
@@ -282,6 +298,20 @@ class TestKWay:
     def test_oracle_equivalence(self, coords, a):
         ps = point_set(coords)
         assert closest_pair_kway(ps, a, OpCounter()).dist_sq == oracle_min_dist_sq(ps.points)
+
+
+class TestLocalCost:
+    def test_identical_points_spend_only_local(self):
+        # each node's first region of two or more points returns distance 0,
+        # and the node returns before its lines, so no strip DC is spent
+        for n in range(2, 130):
+            ps = point_set([(0.5, -2.0)] * n)
+            for a in range(2, n + 3):
+                assert closest_pair_kway(ps, a, OpCounter()).dc_used == local(n, a), (n, a)
+
+    def test_baseline_values(self):
+        n = 65_536
+        assert [local(n, a) for a in (2, 3, 16, n)] == [32_768, 46_075, 4_096, 1]
 
 
 class TestCrossSolverProperties:
