@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_trials)
 
-    p = sub.add_parser("model", help="analytic worst-case cost table")
+    p = sub.add_parser("model", help="the paper's analytic cost estimate table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a-min", type=int, required=True)
     p.add_argument("--a-max", type=int, required=True)

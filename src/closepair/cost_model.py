@@ -1,10 +1,16 @@
-"""Closed-form worst-case distance-computation estimates for the k-way solver.
+"""The paper's closed-form estimate of the k-way solver's distance computations.
 
 The model splits the count into a strip term, 2 * ((a-1) * n / a) * log_a(n),
 and a local term, a * C(ceil(n/a), 2), the cost of brute-forcing each region
 once.  At a = n every region is a single point, the local term vanishes, and
 the total collapses to 2 * (n - 1).  The model predicts counts; it never
 touches an OpCounter.
+
+It is an estimate, not a bound on the solver's count.  A sheared hexagonal
+lattice exceeds it at a = n: with s = ceil(sqrt(n)), point i at column
+c = i mod s and row t = i div s sits at (c + (t mod 2)/2 + 1e-6 * i,
+t * sqrt(3)/2 + 1e-6 * c), and at n = 4,096 the solver spends 12,064 DCs
+against the model's 8,190, 1.47 times as many.
 """
 
 import math
@@ -30,13 +36,13 @@ def _check_args(n: int, a: int) -> None:
 
 
 def analytic_strip_cost(n: int, a: int) -> float:
-    """Worst-case strip-scan count: 2 * ((a-1) * n / a) * log_a(n)."""
+    """The paper's strip-scan estimate: 2 * ((a-1) * n / a) * log_a(n)."""
     _check_args(n, a)
     return 2.0 * ((a - 1) * n / a) * (math.log(n) / math.log(a))
 
 
 def analytic_local_cost(n: int, a: int) -> float:
-    """Worst-case intra-region count: each of a regions brute-forced at ceil(n/a) points."""
+    """The paper's intra-region estimate: each of a regions brute-forced at ceil(n/a) points."""
     _check_args(n, a)
     m = -(-n // a)
     return float(a * (m * (m - 1) // 2))

@@ -193,16 +193,21 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
     # ``best`` starts at inf, with its distance ``window``, and folds in the
     # regions left to right: one of four or more points recurses, and one of
     # two or three is brute-forced in place (its x-sorted positions 0, 1, 2
-    # paired as (0, 1), then (0, 2) and (1, 2)).  Run sizes never grow left
-    # to right, so the fold stops at the first one-point region: it and
-    # every region after it have nothing to pair.
+    # paired as (0, 1), then (0, 2) and (1, 2)).  A region of exactly four
+    # points at a = 2, half of the 2-way solver's nodes, goes to
+    # ``_solve_four`` instead; any other ``a`` pays one compare for it.  Run
+    # sizes never grow left to right, so the fold stops at the first
+    # one-point region: it and every region after it have nothing to pair.
     stops = [hi] if m <= 3 else balanced_partition(lo, hi, a if a < m else m - 1)
     best = (math.inf, -1, -1)
     window = math.inf
     start = lo
     for stop in stops:
         if stop - start > 3:
-            sub = _solve(xs, rank, ypts, start, stop, a, counter)
+            if a == 2 and stop - start == 4:
+                sub = _solve_four(xs, rank, ypts, start, stop, counter)
+            else:
+                sub = _solve(xs, rank, ypts, start, stop, a, counter)
             if sub[0] < window:
                 best = sub
                 window = sub[0]
@@ -341,4 +346,66 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
                 strip += right
             best = strip_scan(strip, stop - keep, ypts, best, counter)
             window = best[0]
+    return best
+
+
+def _solve_four(xs, rank, ypts, lo, hi, counter):
+    # ``_solve`` on a 2-way node of four points, in straight-line code: the
+    # same partition call, pairs, line and strip, so the same DCs in the
+    # same order, without the fold, the line loop, the carried list and the
+    # y-band walks.  The minimum starts from the first pair: were it inf,
+    # it could not replace the parent's, so its ranks never escape.
+    boundary, end = balanced_partition(lo, hi, 2)
+    r, s = rank[lo:boundary]
+    t, u = rank[boundary:end]
+    window = squared_distance(ypts[r], ypts[s], counter)
+    best = (window, r, s)
+    d = squared_distance(ypts[t], ypts[u], counter)
+    if d < window:
+        best = (d, t, u)
+        window = d
+    if window == 0:
+        return best
+    # Each side's in-window run, found with ``_solve``'s tests: both of its
+    # points if the far one is in the window, else the near one if it is,
+    # else nothing crosses the line.  Runs are put in rank order by
+    # ``list.sort``, the band only when it is not empty.
+    xl = xs[boundary - 1]
+    xr = xs[boundary]
+    x_line = xl if xl == xr else (xl + xr) / 2.0
+    dx = xs[end - 1] - x_line
+    if dx * dx < window:
+        right = [t, u]
+        right.sort()
+    else:
+        dx = xr - x_line
+        if dx * dx >= window:
+            return best
+        right = [t]
+    dx = xs[lo] - x_line
+    if dx * dx < window:
+        left = (r, s)
+    else:
+        dx = xl - x_line
+        if dx * dx >= window:
+            return best
+        left = (s,)
+    # ``_solve``'s y-band keeps the left points whose y gap to the right
+    # run's y range is in the window.  Gaps only grow away from the range,
+    # so testing each point keeps the run its walks keep.  Only a gap g > 0
+    # can fail ``g * abs(g) < window``: the window is positive here, so a
+    # point passes the test of the side it is not on, and one inside the
+    # range passes both, with no test of which side it is on.
+    low = ypts[right[0]].y
+    high = ypts[right[-1]].y
+    band = []
+    for k in left:
+        y = ypts[k].y
+        dy = low - y
+        dz = y - high
+        if dy * abs(dy) < window and dz * abs(dz) < window:
+            band.append(k)
+    if band:
+        band.sort()
+        return strip_scan(band + right, len(band), ypts, best, counter)
     return best

@@ -57,9 +57,11 @@ def core_work(monkeypatch):
 
     Returns running totals over every solve in the test: ``x_reads``, reads
     of the presort's x values; ``lines``, each partition's stops but one;
-    ``sorted``, every entry of every list the core sorts (the presort's two
-    sorts included); ``inserted``, one per ``insort``; ``pairs``, each DC's
-    pair of point ids, the smaller first; and ``x_reads_at_zero``, the x
+    ``sorted``, every entry of every list the core orders with ``sorted``
+    (the presort's two sorts included; the 2-way solver's four-point path
+    orders at most two ranks with ``list.sort``, which is not counted);
+    ``inserted``, one per ``insort``; ``pairs``, each DC's pair of point
+    ids, the smaller first; and ``x_reads_at_zero``, the x
     reads made when a DC first returned 0, or None.  Besides
     ``recorded_spans`` of ``tools/differential.py``, which records the
     spans, this is the only place the tests watch the core by swapping its

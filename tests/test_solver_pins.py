@@ -43,6 +43,21 @@ points appear twice, at a = 2, 16 and n.  Each x-window walk's stopping
 test (``>=`` or ``<`` against the window) changes at least one of these
 rows when made strict or loose.  They were recorded before 2- and 3-point
 regions were solved inside their node's region loop.
+
+Three more ``TIE_PINS`` inputs, of eight points each, hold 2-way nodes of
+four points, which ``_solve_four`` solves, with a gap exactly on the window
+at each of its window tests; they were recorded before that path existed.
+One puts a right far end's x gap on the window in one node and left
+points' y gaps on either side of the right run in the other; it is also a
+``STRIP_WORK`` input.  The other two need
+a line that is not at the exact midpoint: the midpoint of 1 and 2**53
+rounds to 2**52, 2**52 from the right point and 2**52 - 1 from the left
+one, so the near right point's gap is on the window while the near left
+point is inside it, and the mirror image puts the near left point's gap on
+the window.  Each of the path's ``>=`` and ``<`` window tests changes a
+row here when made strict or loose, the y gaps' in ``STRIP_WORK_PINS``
+only: a left point exactly one window from the right run meets no right
+point, so only the strip sizes show it.
 """
 
 import itertools
@@ -231,6 +246,16 @@ def _tie_corpus(cases=(66, 67, 759, 3616)):
     lattice = [(x, y) for x in range(4) for y in range(4)]
     inner = [(x, y) for x in (1, 2) for y in (1, 2)]
     out["lattice 4x4, inner points twice"] = PointSet.from_coords(lattice + inner)
+    # A four-point node is never the root, so each sits in an eight-point
+    # input: two tie nodes side by side, or one beside four points on a
+    # far-left x.
+    plain = [(-2.0**60, float(k)) for k in range(4)]
+    out["four-point far x and y gaps"] = PointSet.from_coords(
+        [(0, 0), (0, 2), (2, 10), (3, 0), (8, 0), (8, 6), (9, 2), (9, 4)])
+    out["four-point near x gap, right"] = PointSet.from_coords(
+        plain + [(0, -2**53), (1, 0), (2**53, 0), (2**53, 2**52)])
+    out["four-point near x gap, left"] = PointSet.from_coords(
+        plain + [(-2**53, -2**52), (-2**53, 0), (-1, 0), (0, 2**53)])
     return out
 
 
@@ -262,10 +287,28 @@ TIE_PINS = {
         "kway a=16": (5, 16, "0x0.0p+0", 7, 3),
         "kway a=n": (5, 16, "0x0.0p+0", 3, 2),
     },
+    "four-point far x and y gaps": {  # window 4 in both nodes
+        "kway a=2": (0, 1, "0x1.0000000000000p+2", 4, 0),
+        "kway a=16": (0, 1, "0x1.0000000000000p+2", 1, 0),
+        "kway a=n": (0, 1, "0x1.0000000000000p+2", 1, 0),
+    },
+    "four-point near x gap, right": {  # window 2**104 in the four-point node
+        "kway a=2": (0, 1, "0x1.0000000000000p+0", 4, 0),
+        "kway a=16": (0, 1, "0x1.0000000000000p+0", 1, 0),
+        "kway a=n": (0, 1, "0x1.0000000000000p+0", 1, 0),
+    },
+    "four-point near x gap, left": {  # window 2**104 in the four-point node
+        "kway a=2": (0, 1, "0x1.0000000000000p+0", 4, 0),
+        "kway a=16": (0, 1, "0x1.0000000000000p+0", 1, 0),
+        "kway a=n": (0, 1, "0x1.0000000000000p+0", 1, 0),
+    },
 }
 
 
-STRIP_WORK = {"uniform n=2048 seed=8": gen_uniform_points(2048, 8), **DEGENERATE, **TINY_X, **SLIDING_WINDOW}
+STRIP_WORK = {
+    "uniform n=2048 seed=8": gen_uniform_points(2048, 8), **DEGENERATE, **TINY_X, **SLIDING_WINDOW,
+    "four-point far x and y gaps": TIES["four-point far x and y gaps"],
+}
 
 STRIP_WORK_PINS = {
     "uniform n=2048 seed=8": {"kway a=2": (5443, 807), "kway a=16": (2431, 742), "kway a=n": (29, 14)},
@@ -274,6 +317,7 @@ STRIP_WORK_PINS = {
     "duplicate grid n=512": {"kway a=2": (0, 0), "kway a=16": (0, 0), "kway a=n": (0, 0)},
     "tiny x n=512": {"kway a=2": (3731, 217), "kway a=16": (5871, 227), "kway a=n": (17, 8)},
     "sliding window n=512": {"kway a=2": (3295, 241), "kway a=16": (3002, 250), "kway a=n": (1022, 510)},
+    "four-point far x and y gaps": {"kway a=2": (0, 0), "kway a=16": (0, 0), "kway a=n": (0, 0)},
 }
 
 
