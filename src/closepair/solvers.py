@@ -251,7 +251,9 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
     # out of the window stays out: ``first``, the first in-window position,
     # never moves left, and ``left`` carries the y-ranks of positions
     # [first, held) from line to line.  ``window`` changes only when a
-    # strip scan returns.
+    # strip scan returns.  Runs are put in y order in place, but only in
+    # fresh slices: ``rank`` is the presort's view, which later solves of
+    # the same set reuse.
     first = held = lo
     for boundary, end in pairwise(stops):
         # The line lies between positions boundary - 1 and boundary, at
@@ -294,7 +296,8 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
             if boundary - held == 1:
                 insort(left, rank[held])
             else:
-                left = sorted(left + rank[held:boundary])
+                left += rank[held:boundary]
+                left.sort()
         else:
             # Every carried point has left.  If position ``held`` has too,
             # walk back from the boundary, where the contiguous in-window run
@@ -308,7 +311,8 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
                     if dx * dx >= window:
                         break
                     first -= 1
-            left = sorted(rank[first:boundary])
+            left = rank[first:boundary]
+            left.sort()
         held = boundary
         # Only left points within the window of the right side's y range can
         # meet a right point.  Both sides are solved, so left points are
@@ -322,7 +326,8 @@ def _solve(xs, rank, ypts, lo, hi, a, counter):
             keep = stop = bisect_left(left, right)
             low = high = ypts[right].y
         else:
-            right = sorted(rank[boundary:last])
+            right = rank[boundary:last]
+            right.sort()
             keep = bisect_left(left, right[0])
             stop = bisect_left(left, right[-1], keep)
             low = ypts[right[0]].y

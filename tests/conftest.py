@@ -1,6 +1,6 @@
 import itertools
 import sys
-from bisect import insort
+from bisect import bisect_right, insort
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -57,17 +57,20 @@ def core_work(monkeypatch):
 
     Returns running totals over every solve in the test: ``x_reads``, reads
     of the presort's x values; ``lines``, each partition's stops but one;
-    ``sorted``, every entry of every list the core orders with ``sorted``
-    (the presort's two sorts included; the 2-way solver's four-point path
-    orders at most two ranks with ``list.sort``, which is not counted);
-    ``inserted``, one per ``insort``; ``pairs``, each DC's pair of point
-    ids, the smaller first; and ``x_reads_at_zero``, the x
-    reads made when a DC first returned 0, or None.  Besides
-    ``recorded_spans`` of ``tools/differential.py``, which records the
-    spans, this is the only place the tests watch the core by swapping its
-    module globals.
+    ``sorted``, every entry of every list the core orders, counted in the
+    presort's two calls of ``sorted`` and in ``sort`` on each run sliced
+    from the y-ranks (the 2-way solver's four-point path orders at most two
+    ranks it unpacked into a new list, which is not counted); ``inserted``,
+    one per ``insort``; ``shifted``, the entries an ``insort`` or a delete
+    from a rank run moves by one place; ``pairs``, each DC's pair of point
+    ids, the smaller first; and ``x_reads_at_zero``, the x reads made when a
+    DC first returned 0, or None.  Besides ``recorded_spans`` of
+    ``tools/differential.py``, which records the spans, this is the only
+    place the tests watch the core by swapping its module globals.
     """
-    work = SimpleNamespace(x_reads=0, lines=0, sorted=0, inserted=0, pairs=[], x_reads_at_zero=None)
+    work = SimpleNamespace(
+        x_reads=0, lines=0, sorted=0, inserted=0, shifted=0, pairs=[], x_reads_at_zero=None
+    )
     presort = solvers._presort
     partition = solvers.balanced_partition
     measure = solvers.squared_distance
@@ -77,9 +80,25 @@ def core_work(monkeypatch):
             work.x_reads += 1
             return super().__getitem__(k)
 
+    # The core orders and edits runs it slices from ``rank`` in place, so
+    # the slices come back as lists that count that work.
+    class RankRun(list):
+        def sort(self):
+            work.sorted += len(self)
+            super().sort()
+
+        def __delitem__(self, k):
+            work.shifted += len(self) - 1 - k
+            super().__delitem__(k)
+
+    class RankList(list):
+        def __getitem__(self, k):
+            item = super().__getitem__(k)
+            return RankRun(item) if type(k) is slice else item
+
     def counting_presort(ps):
-        xs, *rest = presort(ps)
-        return (CountingList(xs), *rest)
+        xs, rank, ypts, yidx = presort(ps)
+        return CountingList(xs), RankList(rank), ypts, yidx
 
     def counting_partition(lo, hi, regions):
         stops = partition(lo, hi, regions)
@@ -93,6 +112,7 @@ def core_work(monkeypatch):
 
     def counting_insort(seq, x):
         work.inserted += 1
+        work.shifted += len(seq) - bisect_right(seq, x)
         insort(seq, x)
 
     def recording_distance(p, q, counter):
@@ -104,8 +124,9 @@ def core_work(monkeypatch):
 
     monkeypatch.setattr(solvers, "_presort", counting_presort)
     monkeypatch.setattr(solvers, "balanced_partition", counting_partition)
-    # A module global shadows the builtin ``sorted`` inside the module; a
-    # core that does not import ``insort`` has no inserts to count.
+    # A module global shadows the builtin ``sorted`` inside the module, where
+    # only the presort calls it; a core that does not import ``insort`` has
+    # no inserts to count.
     monkeypatch.setattr(solvers, "sorted", counting_sorted, raising=False)
     monkeypatch.setattr(solvers, "insort", counting_insort, raising=False)
     monkeypatch.setattr(solvers, "squared_distance", recording_distance)

@@ -285,6 +285,23 @@ class TestKWay:
         r = closest_pair_kway(ps, 2, OpCounter())
         assert (r.i, r.j) == (1, 2)
 
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("family", ["uniform", "tiny x", "two columns"])
+    def test_solves_leave_the_cached_view_intact(self, family, n):
+        # The core sorts and edits runs it slices from the cached y-ranks in
+        # place.  Had one of them been the cached list itself, every later
+        # solve of the set, as in a sweep, would read a corrupt view.
+        coords = {
+            "uniform": lambda: [(p.x, p.y) for p in gen_uniform_points(n, 5)],
+            "tiny x": lambda: differential.tiny_x_coords(n),
+            "two columns": lambda: [(float(k % 2), float(k)) for k in range(n)],
+        }[family]()
+        ps = point_set(coords)
+        for a in range(2, n + 3):
+            closest_pair_kway(ps, a, OpCounter())
+        closest_pair_2way(ps, OpCounter())
+        assert ps._sorted[1] == solvers._presort(point_set(coords))
+
     def test_result_pair_realizes_value(self):
         # a = 2 and n are in TestEverySolver
         ps = gen_uniform_points(120, 11)
@@ -549,22 +566,25 @@ class TestSortWork:
     """Rank entries the core sorts or inserts grow about n log n on degenerate inputs.
 
     Neither the DC meter nor the strip-point count sees the y order a line is
-    built from, so this counts it directly: every entry of every list that
-    ``sorted`` orders (the presort's two sorts included) and one per
-    ``insort``.  A one-point right run is already in y order and is not
-    sorted, so at a = n a line adds one insert unless its left run is found
-    afresh.  Re-sorting a line's whole in-window left side made these counts
-    grow 4x per doubling of n at a = n.  The sizes start at 512: at
-    n = 256 = 16**2 every node below the top at a = 16 is a plane sweep,
-    about one entry per point, so the step to 512, where nodes of 32 split
-    into two-point regions that merge, reads 3.3x with no quadratic term in
-    it.
+    built from, so this counts it directly: every entry of the presort's two
+    ``sorted`` calls and of each run of y-ranks a line orders with
+    ``list.sort``, and one per ``insort``.  The 2-way solver's four-point
+    path orders at most two ranks in a list of its own, which is not counted.
+    A one-point right run is already in y order and is not sorted, so at
+    a = n a line adds one insert unless its left run is found afresh.
+    Re-sorting a line's whole in-window left side made these counts grow 4x
+    per doubling of n at a = n.  The sizes start at 512: at n = 256 = 16**2
+    every node below the top at a = 16 is a plane sweep, about one entry per
+    point, so the step to 512, where nodes of 32 split into two-point regions
+    that merge, reads 3.3x with no quadratic term in it.
 
-    The pointer shift of a list insert or delete is not counted.  It is a
-    memmove of up to n pointers, quadratic in total but cheap per point: on a
-    2-vCPU VM with Python 3.11, tiny x at a = n takes about 110, 280 and
-    860 ms at n = 16,384, 32,768 and 65,536 (2.6x and 3.0x per doubling,
-    tending to 4x), where re-sorting each line took 1.4 s at n = 4,096.
+    The pointer shift of a list insert or delete is counted apart, as
+    ``core_work.shifted``, and is not gated here.  It is a memmove of up to n
+    pointers, quadratic in total but cheap per point: tiny x at a = n shifts
+    69,009, 266,826 and 1,041,833 entries at n = 512, 1,024 and 2,048, and
+    on a 2-vCPU VM with Python 3.11 takes about 110, 280 and 860 ms at
+    n = 16,384, 32,768 and 65,536 (2.6x and 3.0x per doubling, tending to
+    4x), where re-sorting each line took 1.4 s at n = 4,096.
     """
 
     FAMILIES = {**TestStripWork.FAMILIES, "tiny x": differential.tiny_x_coords}
@@ -590,6 +610,11 @@ class TestSortWork:
         # Sorting every one-point right run as well read 1,536 sorted entries.
         closest_pair_kway(point_set(self.FAMILIES[family](512)), 512, OpCounter())
         assert [core_work.sorted, core_work.inserted] == [1026, 509]
+        # On the vertical line each point that enters has the largest rank so
+        # far, so its insert shifts nothing.  On two columns the right
+        # column's k-th point enters below the 256 - k left ranks above it:
+        # 255 + 254 + ... + 0 entries shift.
+        assert core_work.shifted == {"vertical line": 0, "two columns": 32_640}[family]
 
 
 class TestBalancedPartition:
