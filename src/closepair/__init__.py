@@ -1,6 +1,6 @@
 """Instrumented closest-pair solvers with exact distance-computation counting."""
 
-from .cost_model import CostBreakdown, analytic_local_cost, analytic_strip_cost, analytic_total_cost
+from .cost_model import CostBreakdown, analytic_local_cost, analytic_strip_cost, analytic_total_cost, exact_local_cost
 from .errors import ClosepairError, DistanceOverflow, EmptySweep, InsufficientPoints, InvalidPartition
 from .experiments import (
     SweepRecord,
@@ -37,6 +37,7 @@ __all__ = [
     "brute_force",
     "closest_pair_2way",
     "closest_pair_kway",
+    "exact_local_cost",
     "final_distance",
     "gen_uniform_points",
     "growth_check",

@@ -51,17 +51,17 @@ def splitmix64_stream(seed: int):
         yield splitmix64_mix(state)
 
 
-def _splitmix64_block(seed: int, lo: int, k: int, shift: int) -> array:
-    """Outputs lo+1 .. lo+k of ``splitmix64_stream(seed)``, each shifted right by ``shift``.
+def _splitmix64_block(seed: int, lo: int, k: int) -> array:
+    """Outputs lo+1 .. lo+k of ``splitmix64_stream(seed)``, each shifted right by 11 to its top 53 bits.
 
-    Needs k <= _BLOCK and 0 <= shift <= 33.  Output lo+i is the mix of
-    seed + (lo+i) * golden, so one int holds every state, draw i in the low
-    64 bits of the 128-bit lane i-1, and each mix step runs on all lanes at
-    once.  A right shift moves a lane's low bits into the top of the lane
-    below, and a product fills a lane's top half, so each is masked back to
-    the low halves before the next product or shift.  The final shifts need
-    no mask: a lane's bits 64..96 stay clear, and the unpacking keeps only
-    each lane's low 64 bits.
+    Needs k <= _BLOCK.  Output lo+i is the mix of seed + (lo+i) * golden,
+    so one int holds every state, draw i in the low 64 bits of the 128-bit
+    lane i-1, and each mix step runs on all lanes at once.  A right shift
+    moves a lane's low bits into the top of the lane below, and a product
+    fills a lane's top half, so each is masked back to the low halves
+    before the next product or shift.  The final shifts need no mask: a
+    lane's bits 64..96 stay clear, and the unpacking keeps only each lane's
+    low 64 bits.
     """
     keep = (1 << 128 * k) - 1
     lanes = _LANES & keep
@@ -69,7 +69,7 @@ def _splitmix64_block(seed: int, lo: int, k: int, shift: int) -> array:
     z = (((seed + (lo + 1) * _GOLDEN) & _U64) * lanes + (_STRIDES & keep)) & low
     z = ((z ^ z >> 30) & low) * _MUL1 & low
     z = ((z ^ z >> 27) & low) * _MUL2 & low
-    z = (z ^ z >> 31) >> shift
+    z = (z ^ z >> 31) >> 11
     draws = array("Q", z.to_bytes(16 * k, "little"))
     if sys.byteorder == "big":
         draws.byteswap()
@@ -89,7 +89,7 @@ def gen_uniform_points(n: int, seed: int) -> PointSet:
     scale = 2.0 ** -53
     pts = []
     for lo in range(0, 2 * n, _BLOCK):
-        coords = map(scale.__mul__, _splitmix64_block(seed, lo, min(_BLOCK, 2 * n - lo), 11))
+        coords = map(scale.__mul__, _splitmix64_block(seed, lo, min(_BLOCK, 2 * n - lo)))
         # Both arguments draw from one iterator, so each point takes x, then y.
         pts.extend(map(Point, coords, coords))
     return PointSet(pts)

@@ -98,6 +98,10 @@ class TestInvocationPins:
     CASES = {
         "solve brute": ([*SOLVE, "brute"], b"0 0\n3 4\n", (0, "0 1 5 1\n", "")),
         "solve two": ([*SOLVE, "two"], b"0 0\n1 0\n5 5\n", (0, "0 1 1 3\n", "")),
+        # a = 4 splits into 3 regions; the leftmost, (0, 1), is solved as a
+        # leaf and makes the window 1, so lines 2 and 3 (x = 1.5, 2.5) each
+        # hold one point per side within it, one cross pair each: (1, 2) and
+        # (2, 3), and the solve costs 3 DCs
         "solve kway a 4": ([*SOLVE, "kway", "--a", "4"], b"0 0\n1 0\n2 0\n3 0\n", (0, "0 1 1 3\n", "")),
         "solve one point": ([*SOLVE, "brute"], b"0 0\n", (3, "", "error: need at least 2 points, got 1\n")),
         "solve brute overflow": ([*SOLVE, "brute"], FAR, OVERFLOW),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from closepair.cost_model import analytic_local_cost, analytic_strip_cost, analytic_total_cost
+from closepair.cost_model import analytic_local_cost, analytic_strip_cost, analytic_total_cost, exact_local_cost
 from closepair.errors import InvalidPartition
 
 
@@ -74,6 +74,17 @@ def test_out_of_range_rejected(n, a):
     for fn in (analytic_strip_cost, analytic_local_cost, analytic_total_cost):
         with pytest.raises(InvalidPartition):
             fn(n, a)
+
+
+def test_exact_local_cost_edges():
+    # the solver's own DCs are checked against it in tests/test_solvers.py (TestLocalCost)
+    assert [exact_local_cost(n, 2) for n in range(4)] == [0, 0, 1, 3]
+    for n in (2, 3, 4, 50, 65_536):
+        assert exact_local_cost(n, n + 7) == exact_local_cost(n, n)
+    # unguarded, a = 1 recurses without end and a = 0 divides by zero
+    for a in (1, 0):
+        with pytest.raises(InvalidPartition):
+            exact_local_cost(50, a)
 
 
 def test_strip_cost_formula_shape():

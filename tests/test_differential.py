@@ -1,9 +1,10 @@
 """Tier-1 gate on the differential run of ``tools/differential.py``, and on its span recorder.
 
 The first 2,000 inputs of the tool's corpus, solved exactly as the tool
-solves them, must match brute force everywhere and write the same bytes as
-when they were recorded, before 2- and 3-point regions were solved inside
-their node's region loop.  The rows hold every solve's pair, distance, DC
+solves them, must match brute force everywhere, spend exactly
+``exact_local_cost(n, a)`` DCs plus the sum of their spans, and write the
+same bytes as when they were recorded, before 2- and 3-point regions were
+solved inside their node's region loop.  The rows hold every solve's pair, distance, DC
 count and nonzero scan spans, so a change to which pairs any solver
 evaluates, or in what order, changes the digest.  The prefix holds
 duplicate, grid and signed-zero inputs on which each x-window walk's

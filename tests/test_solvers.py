@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closepair import solvers
+from closepair.cost_model import exact_local_cost
 from closepair.errors import DistanceOverflow, InsufficientPoints, InvalidPartition
 from closepair.experiments import gen_uniform_points
 from closepair.geometry import OpCounter, Point, PointSet, squared_distance
@@ -46,22 +47,6 @@ def seeded_oracle(n, seed):
     return oracle_min_dist_sq(gen_uniform_points(n, seed).points)
 
 
-@functools.cache
-def local(m, a):
-    """The DCs that k-way at ``a`` spends inside the regions of a node of ``m`` points, strips not counted.
-
-    The node has k = min(a, m - 1) regions: r of q + 1 points and k - r of
-    q, with q, r = divmod(m, k).  A region of four or more points recurses,
-    and a node of three or fewer points is one region and costs C(m, 2),
-    that is 1 or 3 DCs.
-    """
-    if m <= 3:
-        return m * (m - 1) // 2
-    k = min(a, m - 1)
-    q, r = divmod(m, k)
-    return r * local(q + 1, a) + (k - r) * local(q, a)
-
-
 class TestEverySolver:
     """What every solver must do, checked on brute force and k-way at a = 2, 3, 16 and n."""
 
@@ -82,11 +67,8 @@ class TestEverySolver:
 
     @pytest.mark.parametrize("coords, expected", HAND_CHECKED.values(), ids=list(HAND_CHECKED))
     def test_hand_checked(self, solve, coords, expected):
-        n = len(coords)
         r = solve(point_set(coords), OpCounter())
         assert (r.i, r.j, r.dist_sq) == expected
-        if n <= 3:
-            assert r.dc_used == n * (n - 1) // 2
 
     @pytest.mark.parametrize("n, seed", SEEDED, ids=[f"n={n} seed={seed}" for n, seed in SEEDED])
     def test_seeded_against_oracle(self, solve, n, seed):
@@ -236,43 +218,17 @@ class TestStripScan:
 
 
 class TestKWay:
-    def test_uniform_spacing_singletons(self):
-        c = OpCounter()
-        r = closest_pair_kway(point_set([(0, 0), (1, 0), (2, 0), (3, 0)]), 4, c)
-        assert r.dist_sq == 1.0
-        # a = 4 splits into 3 regions; the leftmost, (0, 1), is solved as a
-        # leaf and makes the window 1, so lines 2 and 3 (x = 1.5, 2.5) each
-        # hold one point per side within it, one cross pair each: (1, 2) and
-        # (2, 3)
-        assert r.dc_used == 3
-
     def test_every_a_matches_oracle(self):
         ps = gen_uniform_points(50, 777)
         expected = oracle_min_dist_sq(ps.points)
         for a in range(2, 51):
             assert closest_pair_kway(ps, a, OpCounter()).dist_sq == expected
 
-    def test_a_larger_than_n_is_clamped(self):
-        ps = gen_uniform_points(6, 8)
-        r_big = closest_pair_kway(ps, 100, OpCounter())
-        r_n = closest_pair_kway(ps, 6, OpCounter())
-        assert (r_big.dist_sq, r_big.dc_used) == (r_n.dist_sq, r_n.dc_used)
-
     def test_invalid_partition(self):
         ps = point_set([(0, 0), (1, 1)])
         for a in (1, 0, -3):
             with pytest.raises(InvalidPartition):
                 closest_pair_kway(ps, a, OpCounter())
-
-    def test_a_equals_n_has_zero_local_cost(self):
-        # the leftmost region holds two points and every other region one, so
-        # every DC is either that region's one pair or a strip comparison, and
-        # the recorded spans account for dc_used exactly
-        for seed in range(20):
-            ps = gen_uniform_points(25, 1000 + seed)
-            with differential.recorded_spans() as (spans, _):
-                r = closest_pair_kway(ps, 25, OpCounter())
-            assert r.dc_used == 1 + sum(spans)
 
     def test_presort_cached_per_points_tuple(self):
         # the sorted view is reused while ``points`` stays the same tuple and
@@ -324,11 +280,11 @@ class TestLocalCost:
         for n in range(2, 130):
             ps = point_set([(0.5, -2.0)] * n)
             for a in range(2, n + 3):
-                assert closest_pair_kway(ps, a, OpCounter()).dc_used == local(n, a), (n, a)
+                assert closest_pair_kway(ps, a, OpCounter()).dc_used == exact_local_cost(n, a), (n, a)
 
     def test_baseline_values(self):
         n = 65_536
-        assert [local(n, a) for a in (2, 3, 16, n)] == [32_768, 46_075, 4_096, 1]
+        assert [exact_local_cost(n, a) for a in (2, 3, 16, n)] == [32_768, 46_075, 4_096, 1]
 
 
 class TestCrossSolverProperties:

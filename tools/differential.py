@@ -15,15 +15,19 @@ y orders disagree), with ``closest_pair_2way`` and with
 as ``recorded_spans`` observes them from outside the solver.  It prints
 the row count, the number of mismatches, and the sha256 of <out>.  A solve
 mismatches when its distance differs from ``brute_force``'s, when its pair
-is not ``0 <= i < j < n``, or when its pair's squared distance is not its
-distance.  Two source trees that evaluate the same pairs in the same order
-print the same digest.  Exits 1 on any mismatch and 2 on a usage error.
-Standard library only.  The test suite imports ``corpus`` and ``run`` to
-gate on a fixed prefix of the corpus (``tests/test_differential.py``),
-``recorded_spans`` to check the per-point scan bound and the strip sizes,
-and the coordinates of the fixed degenerate inputs (``degenerate_coords``,
-``tiny_x_coords``, ``sliding_window_coords``), which ``tools/opcount.py``
-and the solver pins share.
+is not ``0 <= i < j < n``, when its pair's squared distance is not its
+distance, or when its DCs are not ``cost_model.exact_local_cost(n, a)``
+plus the sum of its spans (a = 2 for the 2-way solver), so that every DC
+is a region's or a strip's and the strip DCs, the spans, are never
+negative.  The tree must have ``exact_local_cost``.  Two source trees that
+evaluate the same pairs in the same order print the same digest.  Exits 1
+on any mismatch and 2 on a usage error.  Standard library only.  The test
+suite imports ``corpus`` and ``run`` to gate on a fixed prefix of the
+corpus (``tests/test_differential.py``), ``recorded_spans`` to check the
+per-point scan bound and the strip sizes, and the coordinates of the fixed
+degenerate inputs (``degenerate_coords``, ``tiny_x_coords``,
+``sliding_window_coords``), which ``tools/opcount.py`` and the solver pins
+share.
 """
 
 import hashlib
@@ -156,6 +160,7 @@ def run(cases, out):
     Returns ``(rows, mismatches)``.  ``closepair`` is imported here, from
     wherever ``sys.path`` finds it.
     """
+    from closepair.cost_model import exact_local_cost
     from closepair.geometry import OpCounter, PointSet, squared_distance
     from closepair.solvers import brute_force, closest_pair_2way, closest_pair_kway
 
@@ -165,15 +170,16 @@ def run(cases, out):
         ps = PointSet.from_coords(coords)
         n = len(ps)
         expected = brute_force(ps, OpCounter()).dist_sq
-        runs = [("2way", lambda c: closest_pair_2way(ps, c))]
-        runs += [(f"a={a}", lambda c, a=a: closest_pair_kway(ps, a, c)) for a in range(2, n + 3)]
-        for label, solve in runs:
+        runs = [("2way", 2, lambda c: closest_pair_2way(ps, c))]
+        runs += [(f"a={a}", a, lambda c, a=a: closest_pair_kway(ps, a, c)) for a in range(2, n + 3)]
+        for label, a, solve in runs:
             with recorded_spans() as (spans, _):
                 r = solve(OpCounter())
             mismatches += (
                 r.dist_sq != expected
                 or not 0 <= r.i < r.j < n
                 or squared_distance(ps[r.i], ps[r.j], OpCounter()) != r.dist_sq
+                or r.dc_used != exact_local_cost(n, a) + sum(spans)
             )
             rows += 1
             out.write(f"{case} {label} {(r.i, r.j, r.dist_sq.hex(), r.dc_used, spans)}\n")
@@ -189,7 +195,7 @@ def main(argv):
         rows, mismatches = run(enumerate(corpus()), out)
     with open(argv[2], "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
-    print(f"rows {rows}  mismatches against brute force {mismatches}  sha256 {digest}")
+    print(f"rows {rows}  mismatches {mismatches}  sha256 {digest}")
     return 1 if mismatches else 0
 
 

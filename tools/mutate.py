@@ -1,8 +1,8 @@
-"""Mutation run of the solver core, the point parser, the point constructor, the CLI commands and the harnesses.
+"""Mutation run of the solver core, the point parser and constructor, the CLI commands, the harnesses and the local cost.
 
 Usage: python3 tools/mutate.py <src>
 
-Parses four files of <src>/closepair with ``ast`` and makes one mutant per
+Parses five files of <src>/closepair with ``ast`` and makes one mutant per
 site of a fixed operator set: ``<`` and ``<=`` swapped, ``>`` and ``>=``
 swapped, an int constant from 0 to 3 raised by one, ``break`` and
 ``continue`` swapped, a ``+ 1`` or ``- 1`` dropped, ``and`` and ``or``
@@ -23,7 +23,9 @@ second mutant, by ``B``.  The targets and the tests each runs against:
   count and sweep row: ``tests/test_experiments.py`` and ``tests/test_cli.py``.
 - ``gen_uniform_points`` and its block kernel ``_splitmix64_block`` in
   ``experiments.py``, the block bounds and the lane layout:
-  ``tests/test_experiments.py``.
+  ``tests/test_experiments.py``;
+- ``exact_local_cost`` in ``cost_model.py``, which restates the solver's
+  region rule: ``tests/test_solvers.py`` and ``tests/test_cost_model.py``.
 
 Each mutant is written with ``ast.unparse`` into a copy of <src> in a
 temporary directory, next to copies of this repository's ``tests/``,
@@ -70,6 +72,7 @@ TARGETS = (
     *(("experiments.py", name, ("tests/test_experiments.py", "tests/test_cli.py"))
       for name in ("run_sweep", "argmin_partition", "run_trials", "growth_check")),
     *(("experiments.py", name, ("tests/test_experiments.py",)) for name in ("gen_uniform_points", "_splitmix64_block")),
+    ("cost_model.py", "exact_local_cost", ("tests/test_solvers.py", "tests/test_cost_model.py")),
 )
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
